@@ -40,10 +40,8 @@ from .matcore import (
     eigh_sorted,
     fro_norm,
     is_psd,
-    min_nonzero_singular,
     pinv_psd,
     psd_project,
-    spectral_norm,
     svd,
     sym_part,
 )
@@ -114,7 +112,6 @@ __all__ = [
     "is_psd",
     "kernel_contained",
     "make_subproblem_solution",
-    "min_nonzero_singular",
     "minimal_norm_completion",
     "negative_case_solution",
     "partan_solve",
@@ -127,7 +124,6 @@ __all__ = [
     "run_init_experiment",
     "run_solver_experiment",
     "solve",
-    "spectral_norm",
     "split_diagonal",
     "svd",
     "sym_part",

@@ -30,15 +30,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .initializers import init_diagonal, init_recursive, init_unconstrained, init_zero
-from .pipeline import an_fgm_solve
+from .initializers import init_diagonal
+from .pipeline import INITIALIZERS, an_fgm_solve
 from .solvers import SolverConfig, fgm_solve, gradient_solve, partan_solve
 
 FAMILIES = ("gaussian", "uniform", "ill_conditioned", "rank_deficient", "init_experiment")
 SUITES = ("well", "ill", "rankdef")
 SHAPES = ("square", "wide", "tall")
 SOLVER_METHODS = ("gradient", "fgm", "partan", "an-fgm")
-INIT_METHODS = ("zero", "unconstrained", "diagonal", "recursive")
 
 # 1..10, 20..100 step 10, 200..1000 step 100, 2000..10000 step 1000
 LADDER = np.concatenate(
@@ -173,15 +172,8 @@ def _init_trial(args):
     X, B = gen(spec)
     cfg = SolverConfig(max_iter=max(iters, 1), alpha1=alpha1)
     out = {}
-    for name in INIT_METHODS:
-        if name == "zero":
-            A0 = init_zero(37)
-        elif name == "unconstrained":
-            A0 = init_unconstrained(X, B)
-        elif name == "diagonal":
-            A0 = init_diagonal(X, B)
-        else:
-            A0 = init_recursive(np.diag(X), B, cfg)
+    for name, initialize in INITIALIZERS.items():
+        A0 = initialize(X, B, cfg)
         t0 = time.perf_counter()
         if iters > 0:
             run = fgm_solve(X, B, A0, cfg)
@@ -214,7 +206,7 @@ def run_init_experiment(trials, iters, out_dir=None, seed0=2024, alpha1=0.1):
             _init_trial, [(b_dist, seed0 + t, iters, alpha1) for t in range(trials)]
         )
         report = ExperimentReport(trials=trials, iters=iters)
-        for name in INIT_METHODS:
+        for name in INITIALIZERS:
             curves = np.vstack([res[name][0] for res in results])
             secs = [res[name][1] for res in results]
             report.traces[name] = curves

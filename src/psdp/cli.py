@@ -109,21 +109,11 @@ def _cmd_solve(args):
     B = matrixio.read_matrix(args.B)
     cfg = SolverConfig(max_iter=args.max_iter, alpha1=args.alpha1)
     sol = solve(X, B, method=args.method, init=args.init, cfg=cfg, eps=args.eps)
-    header = {"objective": matrixio.format_float(sol.objective)}
-    if sol.infimum is not None:
-        header["infimum"] = matrixio.format_float(sol.infimum)
-    if sol.attained is not None:
-        header["attained"] = "true" if sol.attained else "false"
-    if sol.epsilon is not None:
-        header["epsilon"] = matrixio.format_float(sol.epsilon)
+    header = matrixio.solution_header(sol)
     if args.seed is not None:
         header["seed"] = str(args.seed)
     if args.out is None:
-        lines = ["# %s=%s" % kv for kv in header.items()]
-        lines.append("%d %d" % sol.A.shape)
-        for row in sol.A:
-            lines.append(" ".join(matrixio.format_float(v) for v in row))
-        print("\n".join(lines))
+        sys.stdout.write(matrixio.format_matrix(sol.A, header))
     else:
         matrixio.write_matrix(args.out, sol.A, header=header)
     return 0

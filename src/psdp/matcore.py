@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateProblemError, DimensionError, NumericError, ParameterError
+from .errors import DimensionError, NumericError, ParameterError
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -46,11 +46,6 @@ def sym_part(M):
 def fro_norm(M):
     """Frobenius norm."""
     return float(np.linalg.norm(as_matrix(M), "fro"))
-
-
-def spectral_norm(M):
-    """Largest singular value."""
-    return float(np.linalg.norm(as_matrix(M), 2))
 
 
 class SymEig(NamedTuple):
@@ -116,11 +111,6 @@ def svd(M):
     return SvdFactors(U, s, Vh.T)
 
 
-def singular_values(M):
-    """Singular values only, nonincreasing."""
-    return np.linalg.svd(as_matrix(M), compute_uv=False)
-
-
 def psd_project(M):
     """Frobenius-nearest positive semidefinite matrix.
 
@@ -147,10 +137,15 @@ def pinv_psd(S, tol=1e-12):
     Eigenvalues at or below ``tol`` times the largest one are treated as
     zero.  The result is symmetric PSD with the same kernel.
     """
-    Q, lam = eigh_sorted(S)
+    return pinv_from_eig(eigh_sorted(S), tol)
+
+
+def pinv_from_eig(eig, tol=1e-12):
+    """``pinv_psd`` of the matrix whose eigendecomposition is ``eig`` (a SymEig)."""
+    Q, lam = eig
     lam_max = max(float(lam[0]), 0.0)
     if lam_max == 0.0:
-        return np.zeros_like(S, dtype=float)
+        return np.zeros_like(Q)
     inv = np.where(lam > tol * lam_max, 1.0, 0.0)
     # avoid 0/0 warnings on the clipped entries
     inv = np.divide(inv, np.where(lam > tol * lam_max, lam, 1.0))
@@ -161,28 +156,6 @@ def pinv_psd(S, tol=1e-12):
 def default_rank_tol(n, m, sigma_max):
     """Default threshold below which singular values count as zero."""
     return max(n, m) * EPS * sigma_max
-
-
-def numerical_rank(s, n, m, rank_tol=None):
-    """Number of singular values in ``s`` above the rank threshold."""
-    s = np.asarray(s, dtype=float)
-    if s.size == 0:
-        return 0
-    tol = default_rank_tol(n, m, float(s[0])) if rank_tol is None else float(rank_tol)
-    return int(np.count_nonzero(s > tol))
-
-
-def min_nonzero_singular(M, rank_tol=None):
-    """Smallest singular value above the rank threshold.
-
-    Raises DegenerateProblemError when the matrix is numerically zero.
-    """
-    M = as_matrix(M)
-    s = singular_values(M)
-    r = numerical_rank(s, M.shape[0], M.shape[1], rank_tol)
-    if r == 0:
-        raise DegenerateProblemError("matrix is numerically zero; no nonzero singular value")
-    return float(s[r - 1])
 
 
 def is_psd(S, tol=1e-8):

@@ -18,26 +18,27 @@ def format_float(x):
     return "%.17g" % float(x)
 
 
-def write_matrix(path, M, header=None):
-    """Write ``M`` in the text format, with optional ``# key=value`` header lines.
+def format_matrix(M, header=None):
+    """The text form of ``M``, ending in a newline.
 
     Parameters
     ----------
-    path : str or Path
     M : array_like, shape (rows, cols)
     header : dict, optional
         Written as ``# key=value`` lines before the dimension line.
     """
     M = as_matrix(M, "matrix to write")
-    lines = []
-    if header:
-        for key, val in header.items():
-            lines.append("# %s=%s" % (key, val))
+    lines = ["# %s=%s" % kv for kv in (header or {}).items()]
     lines.append("%d %d" % M.shape)
     for row in M:
         lines.append(" ".join(format_float(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def write_matrix(path, M, header=None):
+    """Write ``format_matrix(M, header)`` to ``path``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(format_matrix(M, header))
 
 
 def read_matrix(path):
@@ -109,8 +110,8 @@ def read_header(path):
     return meta
 
 
-def write_solution(path, sol):
-    """Serialize a PsdpSolution: metadata header then the matrix A."""
+def solution_header(sol):
+    """The ``# key=value`` metadata of a PsdpSolution, as a dict of strings."""
     header = {"objective": format_float(sol.objective)}
     if sol.infimum is not None:
         header["infimum"] = format_float(sol.infimum)
@@ -118,4 +119,9 @@ def write_solution(path, sol):
         header["attained"] = "true" if sol.attained else "false"
     if sol.epsilon is not None:
         header["epsilon"] = format_float(sol.epsilon)
-    write_matrix(path, sol.A, header=header)
+    return header
+
+
+def write_solution(path, sol):
+    """Serialize a PsdpSolution: metadata header then the matrix A."""
+    write_matrix(path, sol.A, header=solution_header(sol))

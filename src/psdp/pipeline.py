@@ -35,7 +35,16 @@ from .solution import IterateTrace, PsdpSolution
 from .solvers import SolverConfig, fgm_solve, gradient_solve, partan_solve
 
 METHODS = ("gradient", "fgm", "partan", "an-fgm")
-INITS = ("zero", "unconstrained", "diagonal", "recursive")
+
+# name -> (X, B, cfg) -> A0; "recursive" needs a diagonal X.  The entries
+# resolve the init_* names at call time, through this module's attributes.
+INITIALIZERS = {
+    "zero": lambda X, B, cfg: init_zero(X.shape[0]),
+    "unconstrained": lambda X, B, cfg: init_unconstrained(X, B),
+    "diagonal": lambda X, B, cfg: init_diagonal(X, B),
+    "recursive": lambda X, B, cfg: init_recursive(X, B, cfg),
+}
+INITS = tuple(INITIALIZERS)
 
 
 def _degenerate_solution(B):
@@ -43,19 +52,6 @@ def _degenerate_solution(B):
     A = np.zeros((B.shape[0], B.shape[0]))
     trace = IterateTrace(objectives=[value**0.5], timestamps=[0.0])
     return PsdpSolution(A=A, objective=value, infimum=value, attained=True, trace=trace)
-
-
-def _sub_init(name, red, cfg):
-    Xsub = np.diag(red.sigma1)
-    if name == "recursive":
-        return init_recursive(red.sigma1, red.B11, cfg)
-    if name == "zero":
-        return init_zero(red.r)
-    if name == "diagonal":
-        return init_diagonal(Xsub, red.B11)
-    if name == "unconstrained":
-        return init_unconstrained(Xsub, red.B11)
-    raise ConfigurationError("unknown initialization %r" % (name,))
 
 
 def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recursive"):
@@ -87,20 +83,23 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
     X = as_matrix(X, "X")
     B = as_matrix(B, "B")
     try:
-        red = reduce_problem(X, B, cfg.rank_tol)
+        red = reduce_problem(X, B)
     except DegenerateProblemError:
         return _degenerate_solution(B)
 
     if use_closed_forms:
         if red.r == 1:
-            return rank1_solve(X, B, eps=eps, rank_tol=cfg.rank_tol)
+            return rank1_solve(X, B, eps=eps)
         if red.r < red.n:
             neg = negative_case_solution(red, X, B, eps=eps)
             if neg is not None:
                 return neg
 
-    A0 = _sub_init(sub_init, red, cfg)
-    sub_run = fgm_solve(np.diag(red.sigma1), red.B11, A0, cfg)
+    if sub_init not in INITIALIZERS:
+        raise ConfigurationError("unknown initialization %r" % (sub_init,))
+    Xsub = np.diag(red.sigma1)
+    A0 = INITIALIZERS[sub_init](Xsub, red.B11, cfg)
+    sub_run = fgm_solve(Xsub, red.B11, A0, cfg)
     sub = make_subproblem_solution(sub_run.best_A, red)
 
     if kernel_contained(sub, red):
@@ -148,12 +147,6 @@ def solve(X, B, method="an-fgm", init=None, cfg=None, eps=None):
         )
     X = as_matrix(X, "X")
     B = as_matrix(B, "B")
-    init = init or "diagonal"
-    if init == "zero":
-        A0 = init_zero(X.shape[0])
-    elif init == "diagonal":
-        A0 = init_diagonal(X, B)
-    else:
-        A0 = init_unconstrained(X, B)
+    A0 = INITIALIZERS[init or "diagonal"](X, B, cfg)
     runner = {"gradient": gradient_solve, "fgm": fgm_solve, "partan": partan_solve}[method]
     return runner(X, B, A0, cfg)

@@ -13,9 +13,11 @@ Z = U2.T B V1 Sigma1^{-1}, and the infimum is attained exactly when the
 kernel of the subproblem minimizer is contained in the kernel of Z.  In
 that case ``assemble_optimal`` builds an exact optimizer; otherwise
 ``assemble_epsilon`` builds a feasible point whose objective is within
-any admissible eps of the infimum.  Two instance classes admit closed
-forms without any iteration: rank-one X (``rank1_solve``) and the
-negative semidefinite case (``negative_case_solution``).
+any admissible eps of the infimum.  The subproblem minimizer is
+eigendecomposed once, in ``make_subproblem_solution``; the attainment
+test and both assemblies read that decomposition.  Two instance classes
+admit closed forms without any iteration: rank-one X (``rank1_solve``)
+and the negative semidefinite case (``negative_case_solution``).
 """
 
 import math
@@ -32,15 +34,17 @@ from .errors import (
     ParameterError,
 )
 from .matcore import (
+    SymEig,
     as_matrix,
     default_rank_tol,
     eigh_sorted,
     fro_norm,
     is_psd,
-    pinv_psd,
+    pinv_from_eig,
     svd,
     sym_part,
 )
+from .matcore import pinv_psd  # noqa: F401  (unused here; perfbench's tracer wraps this name)
 from .solution import PsdpSolution
 
 # eigenvalues at or below KERNEL_TOL times the largest are kernel directions
@@ -76,13 +80,16 @@ class ReducedProblem:
 class SubproblemSolution:
     """A PSD candidate for the r-by-r subproblem.
 
-    residual is |A11hat @ diag(sigma1) - B11|_F and rank_s the numerical
-    rank of A11hat under the kernel tolerance.
+    residual is |A11hat @ diag(sigma1) - B11|_F, rank_s the numerical
+    rank of A11hat under the kernel tolerance and eig its
+    eigendecomposition, which the attainment test and the assemblies
+    reuse instead of factoring A11hat again.
     """
 
     A11hat: np.ndarray
     residual: float
     rank_s: int
+    eig: SymEig
 
 
 def reduce_problem(X, B, rank_tol=None):
@@ -119,40 +126,30 @@ def subproblem_residual(A11, red):
     return float(np.linalg.norm(A11 * red.sigma1 - red.B11, "fro"))
 
 
+def _positive(lam, tol):
+    """Mask of the eigenvalues above tol times the largest, all False when none is positive."""
+    return lam > tol * max(float(lam[0]), 0.0)
+
+
 def make_subproblem_solution(A11hat, red, tol=KERNEL_TOL):
-    """Wrap a candidate A11hat with its residual and numerical rank."""
+    """Wrap a candidate A11hat with its residual, numerical rank and eigendecomposition."""
     A11hat = as_matrix(A11hat, "A11hat")
     if A11hat.shape != (red.r, red.r):
         raise DimensionError(
             "A11hat must be %d-by-%d, got %s" % (red.r, red.r, (A11hat.shape,))
         )
-    Q, lam = eigh_sorted(A11hat)
-    lam_max = max(float(lam[0]), 0.0)
-    rank_s = int(np.count_nonzero(lam > tol * lam_max)) if lam_max > 0 else 0
-    return SubproblemSolution(A11hat, subproblem_residual(A11hat, red), rank_s)
-
-
-def _kernel_split(A11hat, tol):
-    """Eigenvectors of A11hat split into (positive part, kernel part)."""
-    Q, lam = eigh_sorted(A11hat)
-    lam_max = max(float(lam[0]), 0.0)
-    keep = lam > tol * lam_max if lam_max > 0 else np.zeros(lam.shape, dtype=bool)
-    return Q[:, keep], lam[keep], Q[:, ~keep]
+    eig = eigh_sorted(A11hat)
+    rank_s = int(np.count_nonzero(_positive(eig.lam, tol)))
+    return SubproblemSolution(A11hat, subproblem_residual(A11hat, red), rank_s, eig)
 
 
 def kernel_contained(sub, red, tol=KERNEL_TOL):
     """Whether ker(A11hat) lies inside ker(Z), the attainment criterion.
 
     Vacuously true when r = n (Z is empty) or A11hat is positive
-    definite under the tolerance.
+    definite under the tolerance (no kernel directions N).
     """
-    if red.Z.size == 0:
-        return True
-    if sub.rank_s == red.r:
-        return True
-    _, _, N = _kernel_split(sub.A11hat, tol)
-    if N.shape[1] == 0:
-        return True
+    N = sub.eig.Q[:, ~_positive(sub.eig.lam, tol)]
     zn = float(np.linalg.norm(red.Z @ N, "fro"))
     return zn <= tol * max(1.0, float(np.linalg.norm(red.Z, "fro")))
 
@@ -191,15 +188,19 @@ def minimal_norm_completion(Bblk, Cblk):
         raise DimensionError(
             "coupling block must have %d columns, got %s" % (Bblk.shape[0], (Cblk.shape,))
         )
-    _, _, N = _kernel_split(Bblk, KERNEL_TOL)
-    if N.shape[1] > 0:
-        cn = float(np.linalg.norm(Cblk @ N, "fro"))
-        if cn > KERNEL_TOL * max(1.0, float(np.linalg.norm(Cblk, "fro"))):
-            raise ConstraintViolationError(
-                "kernel of the leading block is not contained in the kernel of the "
-                "coupling block (|C N|_F = %.3e); no PSD completion exists" % cn
-            )
-    return sym_part(Cblk @ pinv_psd(Bblk) @ Cblk.T)
+    return _completion(eigh_sorted(Bblk), Cblk)
+
+
+def _completion(eig, Cblk):
+    """C B^+ C.T given the eigendecomposition ``eig`` of B, after the kernel check."""
+    N = eig.Q[:, ~_positive(eig.lam, KERNEL_TOL)]
+    cn = float(np.linalg.norm(Cblk @ N, "fro"))
+    if cn > KERNEL_TOL * max(1.0, float(np.linalg.norm(Cblk, "fro"))):
+        raise ConstraintViolationError(
+            "kernel of the leading block is not contained in the kernel of the "
+            "coupling block (|C N|_F = %.3e); no PSD completion exists" % cn
+        )
+    return sym_part(Cblk @ pinv_from_eig(eig) @ Cblk.T)
 
 
 def assemble_optimal(red, sub, K=None):
@@ -221,7 +222,7 @@ def assemble_optimal(red, sub, K=None):
         raise DimensionError("no trailing block exists when X has full row rank")
     Khat = None
     if red.r < red.n:
-        Khat = minimal_norm_completion(sub.A11hat, red.Z)
+        Khat = _completion(sub.eig, red.Z)
     if K is None:
         K = Khat
     else:
@@ -249,6 +250,15 @@ def default_epsilon(infimum, residual):
     return min(max(1e-8, 1e-6 * infimum), upper / 2.0)
 
 
+def _check_eps(eps, residual):
+    """Raise ParameterError unless eps lies in the admissible interval."""
+    upper = admissible_eps_upper(residual)
+    if not (0.0 < eps < upper):
+        raise ParameterError(
+            "eps must lie in the open interval (0, %.6g), got %.6g" % (upper, eps)
+        )
+
+
 def assemble_epsilon(red, sub, eps, K_eps=None, tol=KERNEL_TOL):
     """Build a feasible A_eps with objective < infimum + eps.
 
@@ -261,12 +271,10 @@ def assemble_epsilon(red, sub, eps, K_eps=None, tol=KERNEL_TOL):
     nearby feasible point.
     """
     res = sub.residual
-    upper = admissible_eps_upper(res)
-    if not (0.0 < eps < upper):
-        raise ParameterError(
-            "eps must lie in the open interval (0, %.6g), got %.6g" % (upper, eps)
-        )
-    Qp, lam_p, N = _kernel_split(sub.A11hat, tol)
+    _check_eps(eps, res)
+    Q, lam = sub.eig
+    keep = _positive(lam, tol)
+    Qp, lam_p, N = Q[:, keep], lam[keep], Q[:, ~keep]
     k = N.shape[1]
     sig_norm = float(np.linalg.norm(red.sigma1))
     if k == 0:
@@ -320,20 +328,15 @@ def negative_case_solution(red, X, B, eps=None, tol=KERNEL_TOL):
         return None
     b_norm = float(np.linalg.norm(red.B11, "fro"))
     infimum = b_norm**2 + red.offset
-    upper = min(1.0, b_norm**2) if b_norm > 0 else 1.0
     if eps is None:
-        eps = min(max(1e-8, 1e-6 * infimum), upper / 2.0)
-    if not (0.0 < eps < upper):
-        raise ParameterError(
-            "eps must lie in the open interval (0, %.6g), got %.6g" % (upper, eps)
-        )
+        eps = default_epsilon(infimum, b_norm)
+    _check_eps(eps, b_norm)
     sig_norm = float(np.linalg.norm(red.sigma1))
     alpha = 4.0 * math.sqrt(red.n) * sig_norm * (b_norm if b_norm > 0 else 1.0)
     c = eps / alpha
     A11_eps = c * np.eye(red.r)
-    K_eps = (red.Z @ red.Z.T) / c
     objective = subproblem_residual(A11_eps, red) ** 2 + red.offset
-    A = _rotate_blocks(red, A11_eps, K_eps)
+    A = _rotate_blocks(red, A11_eps, (red.Z @ red.Z.T) / c)
     return PsdpSolution(
         A=A, objective=objective, infimum=infimum, attained=False, epsilon=eps
     )
@@ -356,40 +359,28 @@ def rank1_solve(X, B, eps=None, rank_tol=None, zero_tol=1e-12):
     For the unattained regime any eps > 0 is admissible.  Inputs of
     rank other than one raise InapplicableError.
     """
-    X = as_matrix(X, "X")
-    B = as_matrix(B, "B")
-    if X.shape != B.shape:
-        raise DimensionError(
-            "X and B must have equal shapes, got %s and %s" % ((X.shape,), (B.shape,))
-        )
-    n, m = X.shape
-    U, s, V = svd(X)
-    tol = default_rank_tol(n, m, float(s[0]) if s.size else 0.0) if rank_tol is None else rank_tol
-    r = int(np.count_nonzero(s > tol))
-    if r != 1:
-        raise InapplicableError("closed form requires numerical rank 1, got rank %d" % r)
-    sigma = float(s[0])
-    u = U[:, 0]
-    v = V[:, 0]
-    Uc = U[:, 1:]
-    Vc = V[:, 1:]
-    Bv = B @ v
-    t = float(u @ Bv)
-    w = Uc.T @ Bv
-    tail = float(np.linalg.norm(B @ Vc, "fro")) ** 2 if m > 1 else 0.0
+    try:
+        red = reduce_problem(X, B, rank_tol)
+    except DegenerateProblemError as exc:
+        raise InapplicableError("closed form requires numerical rank 1, got rank 0") from exc
+    if red.r != 1:
+        raise InapplicableError("closed form requires numerical rank 1, got rank %d" % red.r)
+    # t = u.T B v, and |w| from Z = w / sigma
+    sigma = float(red.sigma1[0])
+    t = float(red.B11[0, 0])
+    w_norm = sigma * float(np.linalg.norm(red.Z))
+    ZZt = red.Z @ red.Z.T
 
     if t > 0.0:
-        K = np.outer(w, w) / (sigma * t)
-        A = (t / sigma) * np.outer(u, u)
-        A += (np.outer(Uc @ w, u) + np.outer(u, Uc @ w)) / sigma
-        A += Uc @ K @ Uc.T
-        value = tail
-        return PsdpSolution(A=sym_part(A), objective=value, infimum=value, attained=True)
+        a = t / sigma
+        A = _rotate_blocks(red, [[a]], ZZt / a)
+        return PsdpSolution(A=A, objective=red.offset, infimum=red.offset, attained=True)
 
-    infimum = t**2 + tail
-    if float(np.linalg.norm(w)) <= zero_tol * max(1.0, float(np.linalg.norm(Bv))):
+    infimum = t**2 + red.offset
+    # |B v|^2 = t^2 + |w|^2
+    if w_norm <= zero_tol * max(1.0, math.hypot(t, w_norm)):
         return PsdpSolution(
-            A=np.zeros((n, n)), objective=infimum, infimum=infimum, attained=True
+            A=np.zeros((red.n, red.n)), objective=infimum, infimum=infimum, attained=True
         )
 
     if eps is None:
@@ -402,11 +393,7 @@ def rank1_solve(X, B, eps=None, rank_tol=None, zero_tol=1e-12):
     n0 = max(1, int(math.floor(1.0 / y_star)))
     while sigma**2 / n0**2 - 2.0 * sigma * t / n0 >= eps:
         n0 += 1
-    K = (n0 / sigma**2) * np.outer(w, w)
-    A = (1.0 / n0) * np.outer(u, u)
-    A += (np.outer(Uc @ w, u) + np.outer(u, Uc @ w)) / sigma
-    A += Uc @ K @ Uc.T
+    a = 1.0 / n0
+    A = _rotate_blocks(red, [[a]], ZZt / a)
     objective = infimum + sigma**2 / n0**2 - 2.0 * sigma * t / n0
-    return PsdpSolution(
-        A=sym_part(A), objective=objective, infimum=infimum, attained=False, epsilon=eps
-    )
+    return PsdpSolution(A=A, objective=objective, infimum=infimum, attained=False, epsilon=eps)

@@ -18,12 +18,6 @@ class IterateTrace:
     def __len__(self):
         return len(self.objectives)
 
-    def seconds_per_iteration(self):
-        """Mean wall-clock seconds per iteration, from the timestamps."""
-        if len(self.timestamps) < 2:
-            return 0.0
-        return (self.timestamps[-1] - self.timestamps[0]) / (len(self.timestamps) - 1)
-
 
 @dataclass
 class PsdpSolution:

@@ -1,21 +1,28 @@
 """Projected first-order solvers for inf |A X - B|_F^2 over PSD A.
 
-Three methods share the same oracle: the gradient of the halved
-objective at Y is G(Y) = Y X X.T - B X.T, with Lipschitz constant
-L = sigma_max(X)^2 and strong convexity modulus sigma_min(X)^2 (zero
-when X is rank deficient).
+The three methods are one loop with three step rules.  All use the
+gradient of the halved objective, G(Y) = Y X X.T - B X.T, with
+Lipschitz constant L = sigma_max(X)^2 and strong convexity modulus
+sigma_min(X)^2 (zero when X is rank deficient), and the projected step
+Y -> proj(Y - G(Y) / L).  The rules differ only in where that step is
+taken:
 
-* ``gradient_solve``: projected gradient, A <- proj(A - G(A) / L).
-* ``fgm_solve``: the fast gradient method, its momentum schedule driven
-  by the inverse condition number q; converges linearly at rate
+* ``gradient_solve`` (plain): from the current iterate; monotone.
+* ``fgm_solve`` (Nesterov momentum): from a point extrapolated along
+  the last displacement, with the momentum schedule driven by the
+  inverse condition number q.  Converges linearly at rate
   (1 - 1/kappa) on strongly convex instances, against (1 - 1/kappa^2)
-  for plain projected gradient.  The objective is not monotone, so the
-  best iterate seen is tracked alongside the last one.
-* ``partan_solve``: gradient with a line-search acceleration along the
-  previous displacement; falls back to the plain step whenever the
-  accelerated candidate would increase the objective, hence monotone.
+  for the plain rule.  Not monotone, hence the best iterate seen is
+  returned next to the last one.
+* ``partan_solve`` (PARTAN): from the exact line-search minimizer along
+  the last displacement, falling back to the plain step whenever that
+  would increase the objective; monotone.
+
+The shared loop records the trace and the best iterate and applies the
+stop rules: max_iter, wall_clock_budget and objective_tol.
 """
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -34,13 +41,11 @@ class SolverConfig:
     method, in (0, 1).  objective_tol, when set, stops a run once the
     best objective has improved by less than objective_tol relative
     over the last 10 iterations.  wall_clock_budget, when set, stops
-    the iteration loop after that many seconds.  rank_tol overrides the
-    numerical-rank threshold used by reductions downstream.
+    the iteration loop after that many seconds.
     """
 
     max_iter: int = 1000
     alpha1: float = 0.1
-    rank_tol: float = None
     objective_tol: float = None
     record_trace: bool = True
     wall_clock_budget: float = None
@@ -90,144 +95,94 @@ def _check_init(A0, n):
     return A0
 
 
-def _objective_norm(A, X, B):
-    return float(np.linalg.norm(A @ X - B, "fro"))
+def _solve(rule, X, B, A0, cfg):
+    """Run the step rule ``rule`` from A0 and collect the result.
 
-
-class _RunState:
-    """Trace, best-iterate and stopping bookkeeping for one solver run."""
-
-    def __init__(self, cfg, t0):
-        self.cfg = cfg
-        self.t0 = t0
-        self.trace = IterateTrace() if cfg.record_trace else None
-        self.best_norm = np.inf
-        self.best_A = None
-        self.best_hist = []
-
-    def record(self, A, norm_val):
-        if self.trace is not None:
-            self.trace.objectives.append(norm_val)
-            self.trace.timestamps.append(time.perf_counter() - self.t0)
-        if norm_val < self.best_norm:
-            self.best_norm = norm_val
-            self.best_A = A.copy()
-        self.best_hist.append(self.best_norm)
-
-    def should_stop(self):
-        cfg = self.cfg
-        if cfg.wall_clock_budget is not None:
-            if time.perf_counter() - self.t0 >= cfg.wall_clock_budget:
-                return True
-        if cfg.objective_tol is not None and len(self.best_hist) > 10:
-            prev = self.best_hist[-11]
-            cur = self.best_hist[-1]
-            if prev - cur <= cfg.objective_tol * max(1.0, cur):
-                return True
-        return False
-
-    def finish(self, A, norm_val):
-        return PsdpSolution(
-            A=A,
-            objective=norm_val**2,
-            trace=self.trace,
-            best_A=self.best_A if self.best_A is not None else A,
-            best_objective=self.best_norm**2 if np.isfinite(self.best_norm) else norm_val**2,
-        )
-
-
-def gradient_solve(X, B, A0, cfg=None):
-    """Projected gradient descent from the PSD initialization A0.
-
-    Monotone in the objective.  When neither a trace nor a stopping
-    tolerance is requested the per-iteration objective evaluation is
-    skipped, which makes long oracle runs noticeably cheaper.
-    """
-    cfg = cfg or SolverConfig()
-    XXt, BXt, L, _ = precompute(X, B)
-    X = np.asarray(X, dtype=float)
-    B = np.asarray(B, dtype=float)
-    A = _check_init(A0, X.shape[0])
-    t0 = time.perf_counter()
-    state = _RunState(cfg, t0)
-    if L == 0.0:
-        val = _objective_norm(A, X, B)
-        state.record(A, val)
-        return state.finish(A, val)
-    need_obj = cfg.record_trace or cfg.objective_tol is not None
-    if need_obj:
-        state.record(A, _objective_norm(A, X, B))
-    for _ in range(cfg.max_iter):
-        A = psd_project(A - (A @ XXt - BXt) / L)
-        if need_obj:
-            state.record(A, _objective_norm(A, X, B))
-        if state.should_stop():
-            break
-    val = _objective_norm(A, X, B)
-    if not need_obj:
-        state.record(A, val)
-    return state.finish(A, val)
-
-
-def fgm_solve(X, B, A0, cfg=None):
-    """Fast gradient method from the PSD initialization A0.
-
-    One iteration: project the gradient step taken at the extrapolated
-    point Y, update the momentum parameter by
-    alpha' = (q - alpha^2 + sqrt((q - alpha^2)^2 + 4 alpha^2)) / 2,
-    set beta = alpha (1 - alpha) / (alpha^2 + alpha'), and extrapolate
-    Y = A + beta (A - A_prev).  With q = 0 this is the standard
-    sublinear momentum schedule; with q > 0 the rate is linear.
+    ``rule(A, val, **oracle)`` is a generator yielding the successive
+    iterates with their residual norms; it reads what it needs from the
+    keywords step, objective, XXt, BXt, q and alpha1.  The loop owns
+    everything else: the trace, the best iterate and the stop rules.
+    When L = 0 (X is zero) no step is taken and A0 is returned.
     """
     cfg = cfg or SolverConfig()
     XXt, BXt, L, q = precompute(X, B)
     X = np.asarray(X, dtype=float)
     B = np.asarray(B, dtype=float)
     A = _check_init(A0, X.shape[0])
+
+    def step(Y):
+        return psd_project(Y - gradient(Y, XXt, BXt) / L)
+
+    def objective(M):
+        return float(np.linalg.norm(M @ X - B, "fro"))
+
     t0 = time.perf_counter()
-    state = _RunState(cfg, t0)
-    val = _objective_norm(A, X, B)
-    state.record(A, val)
-    if L == 0.0:
-        return state.finish(A, val)
+    trace = IterateTrace() if cfg.record_trace else None
+    best_val, best_A, best_hist = np.inf, None, []
+    val = objective(A)
+    steps = rule(A, val, step=step, objective=objective, XXt=XXt, BXt=BXt, q=q, alpha1=cfg.alpha1)
+    steps = itertools.islice(steps, cfg.max_iter if L > 0.0 else 0)
+    for k, (A, val) in enumerate(itertools.chain([(A, val)], steps)):
+        if trace is not None:
+            trace.objectives.append(val)
+            trace.timestamps.append(time.perf_counter() - t0)
+        if val < best_val:
+            best_val, best_A = val, A.copy()
+        best_hist.append(best_val)
+        if k == 0:
+            continue
+        if cfg.wall_clock_budget is not None and time.perf_counter() - t0 >= cfg.wall_clock_budget:
+            break
+        if cfg.objective_tol is not None and k >= 10:
+            if best_hist[-11] - best_val <= cfg.objective_tol * max(1.0, best_val):
+                break
+    return PsdpSolution(
+        A=A,
+        objective=val**2,
+        trace=trace,
+        best_A=best_A,
+        best_objective=best_val**2 if best_A is not None else None,
+    )
+
+
+def _plain(A, val, step, objective, **_):
+    """Projected gradient: A <- proj(A - G(A) / L)."""
+    while True:
+        A = step(A)
+        yield A, objective(A)
+
+
+def _momentum(A, val, step, objective, q, alpha1, **_):
+    """Nesterov momentum: the projected step is taken at an extrapolated point.
+
+    Starting from alpha = alpha1 and Y = A, one iteration sets
+    A' = proj(Y - G(Y) / L), updates the momentum parameter by
+    alpha' = (q - alpha^2 + sqrt((q - alpha^2)^2 + 4 alpha^2)) / 2,
+    sets beta = alpha (1 - alpha) / (alpha^2 + alpha') and extrapolates
+    Y = A' + beta (A' - A).
+    """
     Y = A
-    alpha = cfg.alpha1
-    for _ in range(cfg.max_iter):
+    alpha = alpha1
+    while True:
         A_prev = A
-        A = psd_project(Y - (Y @ XXt - BXt) / L)
+        A = step(Y)
         alpha_next = 0.5 * (q - alpha**2 + np.sqrt((q - alpha**2) ** 2 + 4.0 * alpha**2))
         beta = alpha * (1.0 - alpha) / (alpha**2 + alpha_next)
         Y = A + beta * (A - A_prev)
         alpha = alpha_next
-        state.record(A, _objective_norm(A, X, B))
-        if state.should_stop():
-            break
-    return state.finish(A, _objective_norm(A, X, B))
+        yield A, objective(A)
 
 
-def partan_solve(X, B, A0, cfg=None):
-    """Projected gradient accelerated along the previous displacement.
+def _partan(A, val, step, objective, XXt, BXt, **_):
+    """PARTAN: an exact line search along the last displacement, then the step.
 
-    Each iteration first moves from A along D = A - A_prev by the
-    scalar beta minimizing |(A + beta D) X - B|_F, then takes the
-    projected gradient step from there.  If that candidate increases
-    the objective the step is redone with beta = 0, so the method is
-    monotone.  The first iteration has D = 0 and reduces to the plain
-    projected gradient step.
+    With D = A - A_prev, beta minimizes |(A + beta D) X - B|_F and the
+    projected step is taken from A + beta D.  If that candidate
+    increases the objective the step is redone from A, so the rule is
+    monotone.  The first iteration has D = 0 and is a plain step.
     """
-    cfg = cfg or SolverConfig()
-    XXt, BXt, L, _ = precompute(X, B)
-    X = np.asarray(X, dtype=float)
-    B = np.asarray(B, dtype=float)
-    A = _check_init(A0, X.shape[0])
-    t0 = time.perf_counter()
-    state = _RunState(cfg, t0)
-    val = _objective_norm(A, X, B)
-    state.record(A, val)
-    if L == 0.0:
-        return state.finish(A, val)
     A_prev = A
-    for _ in range(cfg.max_iter):
+    while True:
         D = A - A_prev
         DXXt = D @ XXt
         denom = float(np.sum(D * DXXt))
@@ -235,17 +190,26 @@ def partan_solve(X, B, A0, cfg=None):
             beta = float(np.sum(D * (BXt - A @ XXt))) / denom
         else:
             beta = 0.0
-        Y = A + beta * D if beta != 0.0 else A
-        cand = psd_project(Y - (Y @ XXt - BXt) / L)
-        cand_val = _objective_norm(cand, X, B)
+        cand = step(A + beta * D if beta != 0.0 else A)
+        cand_val = objective(cand)
         if cand_val > val and beta != 0.0:
             # accelerated step overshot; redo as a plain gradient step
-            cand = psd_project(A - (A @ XXt - BXt) / L)
-            cand_val = _objective_norm(cand, X, B)
-        A_prev = A
-        A = cand
-        val = cand_val
-        state.record(A, val)
-        if state.should_stop():
-            break
-    return state.finish(A, val)
+            cand = step(A)
+            cand_val = objective(cand)
+        A_prev, A, val = A, cand, cand_val
+        yield A, val
+
+
+def gradient_solve(X, B, A0, cfg=None):
+    """Projected gradient descent from the PSD initialization A0."""
+    return _solve(_plain, X, B, A0, cfg)
+
+
+def fgm_solve(X, B, A0, cfg=None):
+    """Fast gradient method from the PSD initialization A0."""
+    return _solve(_momentum, X, B, A0, cfg)
+
+
+def partan_solve(X, B, A0, cfg=None):
+    """Projected gradient with PARTAN acceleration from the PSD initialization A0."""
+    return _solve(_partan, X, B, A0, cfg)

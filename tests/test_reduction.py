@@ -256,6 +256,28 @@ def test_minimal_norm_completion_formula_and_precondition():
         minimal_norm_completion(Bblk, bad)
 
 
+def test_one_eigendecomposition_from_subproblem_to_assembly(monkeypatch):
+    # A11hat with a kernel inside ker(Z): the attainment test, the exact
+    # assembly and the eps assembly all reuse the decomposition made by
+    # make_subproblem_solution
+    rng = np.random.default_rng(47)
+    X, B = rank_deficient_instance(rng, 5, 4, 3)
+    red = reduce_problem(X, B)
+    k = np.linalg.svd(red.Z)[2][-1]  # unit vector in ker(Z), which is 2-by-3
+    P = np.eye(3) - np.outer(k, k)
+    S = rng.standard_normal((3, 3))
+    A11hat = P @ (S @ S.T + np.eye(3)) @ P
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(1) or eigh(M))
+    sub = make_subproblem_solution(A11hat, red)
+    assert sub.rank_s == 2
+    assert kernel_contained(sub, red)
+    assemble_optimal(red, sub)
+    assemble_epsilon(red, sub, 0.5 * min(1.0, sub.residual**2))
+    assert len(calls) == 1
+
+
 def test_assemble_epsilon_frozen_tiny_case():
     # X = e1, B = e2: subproblem optimum is 0 with residual 0, the
     # infimum 0 is unattained; with eps = 0.01 the lifted block is

@@ -1,5 +1,8 @@
 """Iterative solvers: gradient oracle, schedules, convergence."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from psdp import (
     fro_norm,
     gradient,
     gradient_solve,
+    init_diagonal,
     partan_solve,
     precompute,
     psd_project,
@@ -97,6 +101,22 @@ def test_partan_solve_frozen_2x2():
     sol = partan_solve(X, B, np.zeros((2, 2)), SolverConfig(max_iter=200))
     assert np.allclose(sol.A, A_star, atol=1e-8)
     assert sol.objective == pytest.approx(f_star, rel=1e-10)
+
+
+def test_iterates_frozen_6x6():
+    # exact trace objectives and best objectives of all three step rules
+    # over 50 iterations on a seeded rank-5 instance: any change in the
+    # order of floating-point operations inside the loop shows up here
+    ref = json.loads((Path(__file__).parent / "data" / "solver_iterates_6x6.json").read_text())
+    rng = np.random.default_rng(20240)
+    X = rng.standard_normal((6, 6))
+    X[:, 5] = X[:, 4]
+    B = rng.standard_normal((6, 6))
+    A0 = init_diagonal(X, B)
+    for name, runner in (("gradient", gradient_solve), ("fgm", fgm_solve), ("partan", partan_solve)):
+        sol = runner(X, B, A0, SolverConfig(max_iter=50))
+        assert sol.trace.objectives == ref[name]["objectives"], name
+        assert sol.best_objective == ref[name]["best_objective"], name
 
 
 def test_momentum_schedule_degenerates_at_q_one():
