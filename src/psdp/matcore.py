@@ -59,9 +59,12 @@ class SymEig(NamedTuple):
 
 
 class SvdFactors(NamedTuple):
-    """Full SVD M = U @ Sigma @ V.T with U (n, n), V (m, m) orthogonal.
+    """SVD M = U @ Sigma @ V.T, full or thin.
 
-    S holds the min(n, m) singular values, nonincreasing and nonnegative.
+    S holds the k = min(n, m) singular values, nonincreasing and
+    nonnegative.  Full factors have U (n, n) and V (m, m) orthogonal;
+    thin factors keep the leading k columns of each, U (n, k) and
+    V (m, k) with orthonormal columns, and M = U @ diag(S) @ V.T.
     """
 
     U: np.ndarray
@@ -90,17 +93,20 @@ def eigh_sorted(S):
     return SymEig(Q[:, ::-1].copy(), w[::-1].copy())
 
 
-def svd(M):
-    """Full singular value decomposition, M = U @ diag-embed(S) @ V.T.
+def svd(M, full_matrices=True):
+    """Singular value decomposition, M = U @ diag-embed(S) @ V.T.
 
     Returns
     -------
     SvdFactors
         U is n-by-n orthogonal, V is m-by-m orthogonal, S nonincreasing.
+        With ``full_matrices=False`` the factors are thin: U is n-by-k
+        and V is m-by-k with k = min(n, m), which costs O(n m k) instead
+        of O(n^2 m + n m^2) and never forms the complementary bases.
     """
     M = as_matrix(M)
     try:
-        U, s, Vh = np.linalg.svd(M, full_matrices=True)
+        U, s, Vh = np.linalg.svd(M, full_matrices=full_matrices)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             "SVD failed for shape %s (|M|_F=%.3e): %s"

@@ -89,9 +89,9 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
 
     if use_closed_forms:
         if red.r == 1:
-            return rank1_solve(X, B, eps=eps)
+            return rank1_solve(X, B, eps=eps, red=red)
         if red.r < red.n:
-            neg = negative_case_solution(red, X, B, eps=eps)
+            neg = negative_case_solution(red, eps=eps)
             if neg is not None:
                 return neg
 

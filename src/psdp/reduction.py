@@ -1,19 +1,27 @@
 """Semi-analytical reduction of the PSD Procrustes problem.
 
 The problem is inf |A X - B|_F^2 over symmetric positive semidefinite
-A, with X and B real n-by-m.  A full SVD X = U Sigma V.T with numerical
-rank r splits the objective into a strongly convex r-by-r subproblem on
-the leading block plus a constant offset:
+A, with X and B real n-by-m.  A thin SVD X = U1 Sigma1 V1.T at the
+numerical rank r splits the objective into a strongly convex r-by-r
+subproblem on the leading block plus a constant offset:
 
     inf_{A psd} |A X - B|^2
-        = min_{A11 psd} |A11 Sigma1 - U1.T B V1|^2 + |B V2|^2.
+        = min_{A11 psd} |A11 Sigma1 - U1.T B V1|^2 + |B (I - V1 V1.T)|^2.
 
-The off-diagonal block of any optimal rotated solution is forced to
+With U2 an orthonormal basis of the complement of range(U1), the
+off-diagonal block of any optimal rotated solution is forced to
 Z = U2.T B V1 Sigma1^{-1}, and the infimum is attained exactly when the
 kernel of the subproblem minimizer is contained in the kernel of Z.  In
 that case ``assemble_optimal`` builds an exact optimizer; otherwise
 ``assemble_epsilon`` builds a feasible point whose objective is within
-any admissible eps of the infimum.  The subproblem minimizer is
+any admissible eps of the infimum.
+
+Every block formula needs U2 only through the n-by-r product
+Y = U2 Z = (I - U1 U1.T) B V1 Sigma1^{-1}, which the reduction stores.
+A solution U [[A11, Z.T], [Z, Z W Z.T]] U.T is then assembled as
+[U1 Y] [[A11, I], [I, W]] [U1 Y].T in O(n^2 r), and neither U2 nor
+any other n-by-n factor is formed; U2, V2 and Z are derived on demand
+for callers that ask for them.  The subproblem minimizer is
 eigendecomposed once, in ``make_subproblem_solution``; the attainment
 test and both assemblies read that decomposition.  Two instance classes
 admit closed forms without any iteration: rank-one X (``rank1_solve``)
@@ -51,29 +59,50 @@ from .solution import PsdpSolution
 KERNEL_TOL = 1e-8
 
 
+def _complement(Q):
+    """Orthonormal basis of the orthogonal complement of range(Q), Q with orthonormal columns."""
+    return np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]
+
+
 @dataclass(frozen=True)
 class ReducedProblem:
-    """SVD factors and derived blocks of the rank-r reduction.
+    """Thin SVD factors and derived blocks of the rank-r reduction.
 
-    U1, U2 and V1, V2 split the left and right singular bases at the
-    numerical rank r.  sigma1 holds the r positive singular values,
+    U1 (n-by-r) and V1 (m-by-r) hold the leading left and right singular
+    vectors of X, and sigma1 the r positive singular values,
     nonincreasing.  B11 = U1.T @ B @ V1 is the data of the subproblem,
-    Z = U2.T @ B @ V1 / sigma1 the forced off-diagonal block of the
-    rotated solution, and offset = |B V2|_F^2 the irreducible part of
-    the objective.
+    Y = (I - U1 U1.T) @ B @ V1 / sigma1 (n-by-r, exactly zero when
+    r = n) the forced off-diagonal block in original coordinates, and
+    offset = |B (I - V1 V1.T)|_F^2 the irreducible part of the
+    objective.
+
+    The complementary bases U2 (n-by-(n-r)) and V2 (m-by-(m-r)) and the
+    forced block Z = U2.T @ Y are not stored: each read derives them
+    afresh (U2 and V2 from a complete QR of U1 and V1), so they cost
+    O(n^2 r) per read and no solve route reads them.
     """
 
     U1: np.ndarray
-    U2: np.ndarray
     V1: np.ndarray
-    V2: np.ndarray
     sigma1: np.ndarray
     B11: np.ndarray
-    Z: np.ndarray
+    Y: np.ndarray
     offset: float
     n: int
     m: int
     r: int
+
+    @property
+    def U2(self):
+        return _complement(self.U1)
+
+    @property
+    def V2(self):
+        return _complement(self.V1)
+
+    @property
+    def Z(self):
+        return self.U2.T @ self.Y
 
 
 @dataclass(frozen=True)
@@ -106,19 +135,18 @@ def reduce_problem(X, B, rank_tol=None):
             "X and B must have equal shapes, got %s and %s" % ((X.shape,), (B.shape,))
         )
     n, m = X.shape
-    U, s, V = svd(X)
+    U, s, V = svd(X, full_matrices=False)
     tol = default_rank_tol(n, m, float(s[0]) if s.size else 0.0) if rank_tol is None else rank_tol
     r = int(np.count_nonzero(s > tol))
     if r == 0:
         raise DegenerateProblemError("X is numerically zero; any PSD matrix is optimal")
-    U1, U2 = U[:, :r], U[:, r:]
-    V1, V2 = V[:, :r], V[:, r:]
+    U1, V1 = U[:, :r], V[:, :r]
     sigma1 = s[:r].copy()
     BV1 = B @ V1
     B11 = U1.T @ BV1
-    Z = (U2.T @ BV1) / sigma1
-    offset = fro_norm(B @ V2) ** 2 if r < m else 0.0
-    return ReducedProblem(U1, U2, V1, V2, sigma1, B11, Z, offset, n, m, r)
+    Y = (BV1 - U1 @ B11) / sigma1 if r < n else np.zeros((n, r))
+    offset = fro_norm(B - BV1 @ V1.T) ** 2 if r < m else 0.0
+    return ReducedProblem(U1, V1, sigma1, B11, Y, offset, n, m, r)
 
 
 def subproblem_residual(A11, red):
@@ -147,24 +175,48 @@ def kernel_contained(sub, red, tol=KERNEL_TOL):
     """Whether ker(A11hat) lies inside ker(Z), the attainment criterion.
 
     Vacuously true when r = n (Z is empty) or A11hat is positive
-    definite under the tolerance (no kernel directions N).
+    definite under the tolerance (no kernel directions N).  Reads Y = U2 Z,
+    whose norms |Y N|_F and |Y|_F equal |Z N|_F and |Z|_F.
     """
     N = sub.eig.Q[:, ~_positive(sub.eig.lam, tol)]
-    zn = float(np.linalg.norm(red.Z @ N, "fro"))
-    return zn <= tol * max(1.0, float(np.linalg.norm(red.Z, "fro")))
+    zn = float(np.linalg.norm(red.Y @ N, "fro"))
+    return zn <= tol * max(1.0, float(np.linalg.norm(red.Y, "fro")))
 
 
-def _rotate_blocks(red, A11, K):
-    """Assemble U [[A11, Z.T], [Z, K]] U.T in original coordinates."""
-    n, r = red.n, red.r
-    M = np.zeros((n, n))
-    M[:r, :r] = A11
-    if r < n:
-        M[r:, :r] = red.Z
-        M[:r, r:] = red.Z.T
-        M[r:, r:] = K
-    U = np.hstack([red.U1, red.U2])
-    return sym_part(U @ M @ U.T)
+def _rotate_blocks(red, A11, W, dK=None):
+    """Assemble U [[A11, Z.T], [Z, Z W Z.T + dK]] U.T in original coordinates.
+
+    Computed as [U1 Y] [[A11, I], [I, W]] [U1 Y].T in O(n^2 r), plus
+    U2 dK U2.T when a trailing excess dK is given; U2 is formed only
+    then.  W and dK are ignored when r = n.
+    """
+    U1 = red.U1
+    if red.r == red.n:
+        return sym_part(U1 @ A11 @ U1.T)
+    eye = np.eye(red.r)
+    H = np.hstack([U1, red.Y])
+    A = (H @ np.block([[A11, eye], [eye, W]])) @ H.T
+    if dK is not None:
+        U2 = red.U2
+        A += U2 @ dK @ U2.T
+    return sym_part(A)
+
+
+def _trailing_excess(red, K, W, name):
+    """K - Z W Z.T for a user trailing block K, which must be PSD."""
+    if red.r == red.n:
+        raise DimensionError("no trailing block exists when X has full row rank")
+    K = as_matrix(K, name)
+    nr = red.n - red.r
+    if K.shape != (nr, nr):
+        raise DimensionError("%s must be %d-by-%d, got %s" % (name, nr, nr, (K.shape,)))
+    Z = red.Z
+    dK = K - sym_part(Z @ W @ Z.T)
+    if not is_psd(dK):
+        raise ConstraintViolationError(
+            "%s minus the minimal trailing block must be positive semidefinite" % name
+        )
+    return dK
 
 
 def infimum_value(red, sub):
@@ -188,11 +240,7 @@ def minimal_norm_completion(Bblk, Cblk):
         raise DimensionError(
             "coupling block must have %d columns, got %s" % (Bblk.shape[0], (Cblk.shape,))
         )
-    return _completion(eigh_sorted(Bblk), Cblk)
-
-
-def _completion(eig, Cblk):
-    """C B^+ C.T given the eigendecomposition ``eig`` of B, after the kernel check."""
+    eig = eigh_sorted(Bblk)
     N = eig.Q[:, ~_positive(eig.lam, KERNEL_TOL)]
     cn = float(np.linalg.norm(Cblk @ N, "fro"))
     if cn > KERNEL_TOL * max(1.0, float(np.linalg.norm(Cblk, "fro"))):
@@ -218,24 +266,10 @@ def assemble_optimal(red, sub, K=None):
             "ker(A11hat) is not contained in ker(Z); the infimum is not attained, "
             "use assemble_epsilon"
         )
-    if K is not None and red.r == red.n:
-        raise DimensionError("no trailing block exists when X has full row rank")
-    Khat = None
-    if red.r < red.n:
-        Khat = _completion(sub.eig, red.Z)
-    if K is None:
-        K = Khat
-    else:
-        K = as_matrix(K, "K")
-        nr = red.n - red.r
-        if K.shape != (nr, nr):
-            raise DimensionError("K must be %d-by-%d, got %s" % (nr, nr, (K.shape,)))
-        if not is_psd(K - Khat):
-            raise ConstraintViolationError(
-                "K - Z A11hat^+ Z.T must be positive semidefinite"
-            )
+    W = pinv_from_eig(sub.eig) if red.r < red.n else None
+    dK = None if K is None else _trailing_excess(red, K, W, "K")
     value = infimum_value(red, sub)
-    A = _rotate_blocks(red, sub.A11hat, K)
+    A = _rotate_blocks(red, sub.A11hat, W, dK)
     return PsdpSolution(A=A, objective=value, infimum=value, attained=True)
 
 
@@ -286,28 +320,22 @@ def assemble_epsilon(red, sub, eps, K_eps=None, tol=KERNEL_TOL):
         upsilon = eps / beta
         A11_eps = sym_part((Qp * lam_p) @ Qp.T + upsilon * (N @ N.T))
         A11_inv = (Qp / lam_p) @ Qp.T + (N @ N.T) / upsilon if lam_p.size else (N @ N.T) / upsilon
-    if K_eps is not None and red.r == red.n:
-        raise DimensionError("no trailing block exists when X has full row rank")
-    Khat = None
-    if red.r < red.n:
-        Khat = sym_part(red.Z @ A11_inv @ red.Z.T)
-    if K_eps is None:
-        K_eps = Khat
-    else:
-        K_eps = as_matrix(K_eps, "K_eps")
-        if not is_psd(K_eps - Khat):
-            raise ConstraintViolationError(
-                "K_eps - Z A11_eps^{-1} Z.T must be positive semidefinite"
-            )
+    dK = None if K_eps is None else _trailing_excess(red, K_eps, A11_inv, "K_eps")
     infimum = infimum_value(red, sub)
     objective = subproblem_residual(A11_eps, red) ** 2 + red.offset
-    A = _rotate_blocks(red, A11_eps, K_eps)
+    A = _rotate_blocks(red, A11_eps, A11_inv, dK)
     return PsdpSolution(
         A=A, objective=objective, infimum=infimum, attained=False, epsilon=eps
     )
 
 
-def negative_case_solution(red, X, B, eps=None, tol=KERNEL_TOL):
+def negative_condition(red):
+    """The r-by-r matrix U1.T (B X.T + X B.T) U1 = B11 Sigma1 + Sigma1 B11.T."""
+    C = red.B11 * red.sigma1
+    return C + C.T
+
+
+def negative_case_solution(red, X=None, B=None, eps=None, tol=KERNEL_TOL):
     """Closed form when U1.T (B X.T + X B.T) U1 is negative semidefinite.
 
     Requires r < n; r = n raises InapplicableError.  When the condition
@@ -315,14 +343,13 @@ def negative_case_solution(red, X, B, eps=None, tol=KERNEL_TOL):
     |U1.T B V1|^2 + |B V2|^2 and is never attained; the returned A_eps
     uses the leading block (eps / alpha) I with
     alpha = 4 sqrt(n) |sigma1| |U1.T B V1|_F (the norm factor dropped
-    when it vanishes).  Returns None when the condition fails.
+    when it vanishes).  Returns None when the condition fails.  The
+    condition is formed from ``red`` alone (``negative_condition``), so
+    X and B are not read.
     """
     if red.r == red.n:
         raise InapplicableError("closed form requires rank(X) < n")
-    X = as_matrix(X, "X")
-    B = as_matrix(B, "B")
-    cond = sym_part(red.U1.T @ (B @ X.T + X @ B.T) @ red.U1)
-    w = np.linalg.eigvalsh(cond)
+    w = np.linalg.eigvalsh(negative_condition(red))
     scale = max(1.0, float(abs(w[0])), float(abs(w[-1])))
     if float(w[-1]) > tol * scale:
         return None
@@ -336,13 +363,13 @@ def negative_case_solution(red, X, B, eps=None, tol=KERNEL_TOL):
     c = eps / alpha
     A11_eps = c * np.eye(red.r)
     objective = subproblem_residual(A11_eps, red) ** 2 + red.offset
-    A = _rotate_blocks(red, A11_eps, (red.Z @ red.Z.T) / c)
+    A = _rotate_blocks(red, A11_eps, np.eye(red.r) / c)
     return PsdpSolution(
         A=A, objective=objective, infimum=infimum, attained=False, epsilon=eps
     )
 
 
-def rank1_solve(X, B, eps=None, rank_tol=None, zero_tol=1e-12):
+def rank1_solve(X, B, eps=None, rank_tol=None, zero_tol=1e-12, red=None):
     """Closed-form solution when X has numerical rank one.
 
     With X = sigma u v.T, t = u.T B v and w the components of B v
@@ -357,23 +384,27 @@ def rank1_solve(X, B, eps=None, rank_tol=None, zero_tol=1e-12):
       (n0 / sigma^2) w w.T.
 
     For the unattained regime any eps > 0 is admissible.  Inputs of
-    rank other than one raise InapplicableError.
+    rank other than one raise InapplicableError.  ``red``, when given,
+    is the ReducedProblem of (X, B) and is used instead of reducing
+    again (``rank_tol`` is then not read).
     """
-    try:
-        red = reduce_problem(X, B, rank_tol)
-    except DegenerateProblemError as exc:
-        raise InapplicableError("closed form requires numerical rank 1, got rank 0") from exc
+    if red is None:
+        try:
+            red = reduce_problem(X, B, rank_tol)
+        except DegenerateProblemError as exc:
+            raise InapplicableError(
+                "closed form requires numerical rank 1, got rank 0"
+            ) from exc
     if red.r != 1:
         raise InapplicableError("closed form requires numerical rank 1, got rank %d" % red.r)
-    # t = u.T B v, and |w| from Z = w / sigma
+    # t = u.T B v, and |w| from Y = w / sigma
     sigma = float(red.sigma1[0])
     t = float(red.B11[0, 0])
-    w_norm = sigma * float(np.linalg.norm(red.Z))
-    ZZt = red.Z @ red.Z.T
+    w_norm = sigma * float(np.linalg.norm(red.Y))
 
     if t > 0.0:
         a = t / sigma
-        A = _rotate_blocks(red, [[a]], ZZt / a)
+        A = _rotate_blocks(red, np.array([[a]]), np.array([[1.0 / a]]))
         return PsdpSolution(A=A, objective=red.offset, infimum=red.offset, attained=True)
 
     infimum = t**2 + red.offset
@@ -394,6 +425,6 @@ def rank1_solve(X, B, eps=None, rank_tol=None, zero_tol=1e-12):
     while sigma**2 / n0**2 - 2.0 * sigma * t / n0 >= eps:
         n0 += 1
     a = 1.0 / n0
-    A = _rotate_blocks(red, [[a]], ZZt / a)
+    A = _rotate_blocks(red, np.array([[a]]), np.array([[1.0 / a]]))
     objective = infimum + sigma**2 / n0**2 - 2.0 * sigma * t / n0
     return PsdpSolution(A=A, objective=objective, infimum=infimum, attained=False, epsilon=eps)

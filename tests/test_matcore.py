@@ -154,6 +154,18 @@ def test_svd_reconstruction_random_rect():
         assert (np.diff(S) <= 0).all() and (S >= 0).all()
 
 
+def test_svd_thin_factors():
+    rng = np.random.default_rng(44)
+    for shape in [(5, 3), (3, 5)]:
+        M = rng.standard_normal(shape)
+        U, S, V = svd(M, full_matrices=False)
+        k = min(shape)
+        assert U.shape == (shape[0], k) and V.shape == (shape[1], k)
+        assert np.linalg.norm((U * S) @ V.T - M) <= 1e-12 * fro_norm(M)
+        assert np.allclose(U.T @ U, np.eye(k), atol=1e-12)
+        assert np.allclose(V.T @ V, np.eye(k), atol=1e-12)
+
+
 def test_pinv_psd_diagonal():
     P = pinv_psd(np.diag([2.0, 0.0]))
     assert np.allclose(P, np.diag([0.5, 0.0]))

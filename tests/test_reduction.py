@@ -10,6 +10,7 @@ from psdp import (
     InapplicableError,
     NotAttainedError,
     ParameterError,
+    an_fgm_solve,
     assemble_epsilon,
     assemble_optimal,
     infimum_value,
@@ -22,7 +23,7 @@ from psdp import (
     rank1_solve,
     reduce_problem,
 )
-from psdp.reduction import subproblem_residual
+from psdp.reduction import negative_condition, subproblem_residual
 
 
 def rank_deficient_instance(rng, n, m, r):
@@ -514,3 +515,123 @@ def test_subproblem_residual_helper():
     A11 = rng.standard_normal((2, 2))
     expected = np.linalg.norm(A11 @ np.diag(red.sigma1) - red.B11, "fro")
     assert subproblem_residual(A11, red) == pytest.approx(expected, rel=1e-12)
+
+
+def _dense_reference(X, B, red):
+    """Full SVD basis U = [U1 U2] of X, its V1 and Z = U2.T B V1 / sigma1.
+
+    The leading singular vectors are sign-aligned with red.U1, so r-by-r
+    blocks written in the reduction's basis mean the same in this one.
+    """
+    r = red.r
+    U, s, Vh = np.linalg.svd(X)
+    d = np.sign(np.sum(U[:, :r] * red.U1, axis=0))
+    U[:, :r] *= d
+    V1 = Vh[:r].T * d
+    Z = U[:, r:].T @ B @ V1 / s[:r]
+    return U, V1, Z
+
+
+def _dense(U, A11, Z, K):
+    """U [[A11, Z.T], [Z, K]] U.T, the rotation the assemblies avoid forming."""
+    r = A11.shape[0]
+    if r == U.shape[0]:
+        return U @ A11 @ U.T
+    return U @ np.block([[A11, Z.T], [Z, K]]) @ U.T
+
+
+def _rel(A, ref):
+    return np.linalg.norm(A - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n, m, r", [(7, 5, 3), (4, 7, 2), (4, 6, 4), (6, 4, 1), (3, 5, 1)])
+def test_assemblies_match_dense_reference(n, m, r):
+    # n > m, n < m, r = n and r = 1, against U [[A11, Z.T], [Z, K]] U.T
+    rng = np.random.default_rng(100 + 10 * n + r)
+    X, B = rank_deficient_instance(rng, n, m, r)
+    red = reduce_problem(X, B)
+    assert red.r == r
+    U, V1, Z = _dense_reference(X, B, red)
+    Q = np.linalg.qr(rng.standard_normal((r, r)))[0]
+    cand = (Q * rng.uniform(0.1, 2.0, r)) @ Q.T  # eigenvalues >= 0.1
+    Khat = Z @ np.linalg.inv(cand) @ Z.T
+    sub = make_subproblem_solution(cand, red)
+
+    def check(sol, K):
+        assert _rel(sol.A, _dense(U, cand, Z, K)) <= 1e-10
+        assert np.linalg.norm(sol.A @ X - B) ** 2 == pytest.approx(sol.objective, rel=1e-9)
+
+    eps = 0.5 * min(1.0, sub.residual**2)
+    check(assemble_optimal(red, sub), Khat)
+    check(assemble_epsilon(red, sub, eps), Khat)
+    if r < n:
+        # a custom trailing block is given in the reduction's U2 basis
+        S = rng.standard_normal((n - r, n - r))
+        K = red.Z @ np.linalg.inv(cand) @ red.Z.T + S @ S.T
+        R = U[:, r:].T @ red.U2
+        check(assemble_optimal(red, sub, K=K), R @ K @ R.T)
+        check(assemble_epsilon(red, sub, eps, K_eps=K), R @ K @ R.T)
+
+        # negative case: B = -X + U2 G
+        Bn = -X + U[:, r:] @ rng.standard_normal((n - r, m))
+        redn = reduce_problem(X, Bn)
+        Un, _, Zn = _dense_reference(X, Bn, redn)
+        sol = negative_case_solution(redn, X, Bn, eps=0.1)
+        alpha = 4.0 * np.sqrt(n) * np.linalg.norm(redn.sigma1) * np.linalg.norm(redn.B11)
+        c = 0.1 / alpha
+        assert _rel(sol.A, _dense(Un, c * np.eye(r), Zn, Zn @ Zn.T / c)) <= 1e-10
+
+    if r == 1:
+        sigma = red.sigma1[0]
+        for sign in (1.0, -1.0):
+            # flip the u v.T component of B into the t > 0 or the t <= 0 branch
+            t0 = float(U[:, 0] @ B @ V1[:, 0])
+            Bt = B + (sign * abs(t0) - t0) * np.outer(U[:, 0], V1[:, 0])
+            Ur, V1r, Zr = _dense_reference(X, Bt, reduce_problem(X, Bt))
+            t = float(Ur[:, 0] @ Bt @ V1r[:, 0])
+            sol = rank1_solve(X, Bt, eps=1e-2)
+            if sign > 0:
+                a = t / sigma
+            else:
+                n0 = 1
+                while sigma**2 / n0**2 - 2.0 * sigma * t / n0 >= 1e-2:
+                    n0 += 1
+                a = 1.0 / n0
+            assert sol.attained is (sign > 0)
+            assert _rel(sol.A, _dense(Ur, np.array([[a]]), Zr, Zr @ Zr.T / a)) <= 1e-10
+
+
+def test_solves_use_one_thin_svd_and_no_complement(monkeypatch):
+    # every an_fgm_solve route factors X once, with a thin SVD, and never
+    # derives the complementary basis U2 (a complete QR); the closed forms
+    # make no other SVD call, the iterative route only singular values
+    rng = np.random.default_rng(83)
+    X1 = np.outer(rng.standard_normal(9), rng.standard_normal(5))
+    B1 = rng.standard_normal((9, 5))
+    X, B = rank_deficient_instance(rng, 9, 5, 3)
+    U = np.linalg.svd(X)[0]
+    Bn = -X + U[:, 3:] @ rng.standard_normal((6, 5))
+    assert negative_case_solution(reduce_problem(X, Bn)) is not None
+    svd, qr = np.linalg.svd, np.linalg.qr
+    for Xi, Bi, closed in ((X1, B1, True), (X, Bn, True), (X, B, False)):
+        svd_calls, qr_calls = [], []
+        monkeypatch.setattr(np.linalg, "svd", lambda M, *a, **k: (
+            svd_calls.append((k.get("full_matrices", True), k.get("compute_uv", True)))
+            or svd(M, *a, **k)))
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1) or qr(*a, **k))
+        an_fgm_solve(Xi, Bi)
+        monkeypatch.undo()
+        factored = [c for c in svd_calls if c[1]]
+        assert factored == [(False, True)]
+        assert len(svd_calls) == 1 or not closed
+        assert qr_calls == []
+
+
+@pytest.mark.parametrize("n, m, r", [(4, 9, 3), (4, 9, 4), (9, 4, 2), (9, 4, 4)])
+def test_negative_condition_matches_dense_form(n, m, r):
+    rng = np.random.default_rng(89 + n + r)
+    for _ in range(5):
+        X, B = rank_deficient_instance(rng, n, m, r)
+        red = reduce_problem(X, B)
+        dense = red.U1.T @ (B @ X.T + X @ B.T) @ red.U1
+        assert _rel(negative_condition(red), dense) <= 1e-12
