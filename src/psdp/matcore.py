@@ -43,6 +43,25 @@ def sym_part(M):
     return (M + M.T) / 2.0
 
 
+def symmetrize_inplace(A):
+    """Overwrite the square float array A with (A + A.T) / 2 and return it.
+
+    Bitwise equal to ``sym_part(A)``, but works strip by strip: each
+    block of 64 rows is averaged with the matching block of columns
+    and written to both, so no second n-by-n array is allocated.  Used on
+    assembled n-by-n results, where the two temporaries of ``sym_part``
+    cost as much as forming the low-rank product itself.
+    """
+    n = _require_square(A).shape[0]
+    for i in range(0, n, 64):
+        j = min(i + 64, n)
+        S = A[i:j, i:] + A[i:, i:j].T
+        S /= 2.0
+        A[i:j, i:] = S
+        A[i:, i:j] = S.T
+    return A
+
+
 def fro_norm(M):
     """Frobenius norm."""
     return float(np.linalg.norm(as_matrix(M), "fro"))

@@ -115,6 +115,10 @@ def solution_header(sol):
     header = {"objective": format_float(sol.objective)}
     if sol.infimum is not None:
         header["infimum"] = format_float(sol.infimum)
+    if sol.lower_bound is not None:
+        header["lower_bound"] = format_float(sol.lower_bound)
+    if sol.gap is not None:
+        header["gap"] = format_float(sol.gap)
     if sol.attained is not None:
         header["attained"] = "true" if sol.attained else "false"
     if sol.epsilon is not None:

@@ -4,12 +4,13 @@
 its strongly convex r-by-r subproblem, short-circuit to a closed form
 when one applies (rank-one X, or the negative semidefinite condition),
 otherwise run the fast gradient method from the recursive
-initialization and assemble the result back in original coordinates,
-exactly when the infimum is attained and to any admissible eps when it
-is not.  Iterating on the reduced problem costs O(r^3) per iteration
-instead of O(n^3) and always enjoys a positive strong-convexity
-modulus, so the method is both cheaper per step and linearly
-convergent.
+initialization until a closed-form dual bound certifies the subproblem
+optimum to rounding level or the budget ends, and assemble the result
+back in original coordinates, exactly when the infimum is attained and
+to any admissible eps when it is not.  Iterating on the reduced
+problem costs O(r^3) per iteration instead of O(n^3) and always enjoys
+a positive strong-convexity modulus, so the method is both cheaper per
+step and linearly convergent.
 
 ``solve`` is the user-facing dispatcher over the four methods and four
 initializations.
@@ -24,12 +25,14 @@ from .reduction import (
     assemble_epsilon,
     assemble_optimal,
     default_epsilon,
+    dual_bound,
     infimum_value,
     kernel_contained,
     make_subproblem_solution,
     negative_case_solution,
     rank1_solve,
     reduce_problem,
+    relative_gap,
 )
 from .solution import IterateTrace, PsdpSolution
 from .solvers import SolverConfig, fgm_solve, gradient_solve, partan_solve
@@ -77,7 +80,11 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
     PsdpSolution
         With infimum and attained always filled, and the trace mapped
         back to original coordinates (objective entries are
-        sqrt(subproblem residual^2 + offset)).
+        sqrt(subproblem residual^2 + offset)).  On the iterative route
+        infimum is the upper end of a certified interval: lower_bound is
+        the dual bound ``dual_bound`` at the returned iterate and gap the
+        relative width (infimum - lower_bound) / infimum.  The reduced
+        run stops early once that gap is at most ``solvers.GAP_TOL``.
     """
     cfg = cfg or SolverConfig()
     X = as_matrix(X, "X")
@@ -99,7 +106,11 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
         raise ConfigurationError("unknown initialization %r" % (sub_init,))
     Xsub = np.diag(red.sigma1)
     A0 = INITIALIZERS[sub_init](Xsub, red.B11, cfg)
-    sub_run = fgm_solve(Xsub, red.B11, A0, cfg)
+
+    def certificate(A11, f):
+        return relative_gap(f + red.offset, dual_bound(red, A11))
+
+    sub_run = fgm_solve(Xsub, red.B11, A0, cfg, certificate=certificate)
     sub = make_subproblem_solution(sub_run.best_A, red)
 
     if kernel_contained(sub, red):
@@ -108,6 +119,9 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
         if eps is None:
             eps = default_epsilon(infimum_value(red, sub), sub.residual)
         out = assemble_epsilon(red, sub, eps)
+    # the bound can exceed the upper estimate only by rounding
+    out.lower_bound = min(dual_bound(red, sub.A11hat), out.infimum)
+    out.gap = relative_gap(out.infimum, out.lower_bound)
 
     if sub_run.trace is not None:
         objs = np.asarray(sub_run.trace.objectives)

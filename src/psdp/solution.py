@@ -24,12 +24,18 @@ class PsdpSolution:
     """Outcome of a solve of inf_{A psd} |A X - B|_F^2.
 
     objective is the squared Frobenius residual of ``A``.  infimum and
-    attained are filled by the closed-form routes, which can certify
-    them; purely iterative solvers leave both None.  When the infimum is
-    not attained, ``A`` is an epsilon-suboptimal feasible point and
-    epsilon records the accuracy target, with objective < infimum +
-    epsilon.  best_A / best_objective track the best iterate seen, which
-    for non-monotone methods can differ from the final one.
+    attained are filled by ``an_fgm_solve``; the full-space iterative
+    solvers leave both None.  On the closed-form routes infimum is
+    exact.  On the iterative route it is the solver's upper estimate,
+    and lower_bound is a certified lower bound on the true infimum, so
+    the true value lies in [lower_bound, infimum]; gap is the relative
+    width (infimum - lower_bound) / infimum.  Other routes leave
+    lower_bound and gap None.
+    When the infimum is not attained, ``A`` is an epsilon-suboptimal
+    feasible point and epsilon records the accuracy target, with
+    objective < infimum + epsilon.  best_A / best_objective track the
+    best iterate seen, which for non-monotone methods can differ from
+    the final one.
     """
 
     A: object
@@ -40,6 +46,8 @@ class PsdpSolution:
     trace: IterateTrace = None
     best_A: object = None
     best_objective: float = None
+    lower_bound: float = None
+    gap: float = None
 
     def __post_init__(self):
         if self.best_A is None:

@@ -19,7 +19,17 @@ taken:
   would increase the objective; monotone.
 
 The shared loop records the trace and the best iterate and applies the
-stop rules: max_iter, wall_clock_budget and objective_tol.
+stop rules:
+
+* max_iter, the iteration budget;
+* wall_clock_budget, seconds spent in the loop;
+* objective_tol, a best objective that improved by less than that
+  relative amount over the last 10 iterations;
+* a certified gap: when the caller passes a ``certificate`` (only the
+  reduced run of ``an_fgm_solve`` does), every GAP_EVERY iterations,
+  from iteration GAP_EVERY on, the relative gap it reports for the best
+  iterate is compared with GAP_TOL, and the run stops once it is at or
+  below.  A run that never certifies is unchanged by the check.
 """
 
 import itertools
@@ -31,6 +41,11 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 from .matcore import as_matrix, psd_project
 from .solution import IterateTrace, PsdpSolution
+
+# the certified-gap stop rule: a relative gap at rounding level, checked
+# every GAP_EVERY iterations
+GAP_TOL = 1e-12
+GAP_EVERY = 50
 
 
 @dataclass
@@ -67,6 +82,8 @@ def precompute(X, B):
     Returns (XXt, BXt, L, q) with XXt = X X.T, BXt = B X.T,
     L = sigma_max(X)^2 and q = sigma_min(X)^2 / L, where sigma_min is
     the n-th singular value (zero when m < n or X is rank deficient).
+    A diagonal X (the reduced subproblem and its blocks) has the sorted
+    absolute diagonal as its singular values, so no SVD is taken then.
     """
     X = as_matrix(X, "X")
     B = as_matrix(B, "B")
@@ -76,7 +93,11 @@ def precompute(X, B):
         )
     XXt = X @ X.T
     BXt = B @ X.T
-    s = np.linalg.svd(X, compute_uv=False)
+    d = np.diagonal(X)
+    if np.count_nonzero(X) == np.count_nonzero(d):
+        s = np.sort(np.abs(d))[::-1]
+    else:
+        s = np.linalg.svd(X, compute_uv=False)
     L = float(s[0]) ** 2
     n = X.shape[0]
     q = (float(s[n - 1]) / float(s[0])) ** 2 if (L > 0 and s.size >= n) else 0.0
@@ -95,14 +116,17 @@ def _check_init(A0, n):
     return A0
 
 
-def _solve(rule, X, B, A0, cfg):
+def _solve(rule, X, B, A0, cfg, certificate=None):
     """Run the step rule ``rule`` from A0 and collect the result.
 
     ``rule(A, val, **oracle)`` is a generator yielding the successive
     iterates with their residual norms; it reads what it needs from the
     keywords step, objective, XXt, BXt, q and alpha1.  The loop owns
     everything else: the trace, the best iterate and the stop rules.
-    When L = 0 (X is zero) no step is taken and A0 is returned.
+    ``certificate(A, f)``, when given, returns a certified relative gap
+    for the iterate A with objective f = |A X - B|_F^2; it is called on
+    the best iterate every GAP_EVERY iterations.  When L = 0 (X is zero)
+    no step is taken and A0 is returned.
     """
     cfg = cfg or SolverConfig()
     XXt, BXt, L, q = precompute(X, B)
@@ -135,6 +159,9 @@ def _solve(rule, X, B, A0, cfg):
             break
         if cfg.objective_tol is not None and k >= 10:
             if best_hist[-11] - best_val <= cfg.objective_tol * max(1.0, best_val):
+                break
+        if certificate is not None and k % GAP_EVERY == 0:
+            if certificate(best_A, best_val**2) <= GAP_TOL:
                 break
     return PsdpSolution(
         A=A,
@@ -205,9 +232,13 @@ def gradient_solve(X, B, A0, cfg=None):
     return _solve(_plain, X, B, A0, cfg)
 
 
-def fgm_solve(X, B, A0, cfg=None):
-    """Fast gradient method from the PSD initialization A0."""
-    return _solve(_momentum, X, B, A0, cfg)
+def fgm_solve(X, B, A0, cfg=None, certificate=None):
+    """Fast gradient method from the PSD initialization A0.
+
+    ``certificate``, when given, turns on the certified-gap stop rule
+    (see ``_solve``).
+    """
+    return _solve(_momentum, X, B, A0, cfg, certificate)
 
 
 def partan_solve(X, B, A0, cfg=None):

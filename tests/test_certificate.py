@@ -1,0 +1,106 @@
+"""The certified lower bound of the reduced problem and the gap stop rule."""
+
+import numpy as np
+import pytest
+
+from psdp import SolverConfig, an_fgm_solve, fgm_solve, init_recursive, reduce_problem
+from psdp import pipeline, solvers
+from psdp.bench import InstanceSpec, gen
+from psdp.reduction import dual_bound
+
+
+def baseline_instance():
+    """Rank-8 30x20 instance with condition number 1e3 on the singular values."""
+    rng = np.random.Generator(np.random.Philox(key=386))
+    U = np.linalg.qr(rng.standard_normal((30, 8)))[0]
+    V = np.linalg.qr(rng.standard_normal((20, 8)))[0]
+    X = U @ np.diag(np.logspace(0.0, -3.0, 8)) @ V.T
+    return X, rng.standard_normal((30, 20))
+
+
+def test_bound_below_a_long_run_on_the_baseline_instance():
+    X, B = baseline_instance()
+    short = an_fgm_solve(X, B, SolverConfig(max_iter=30))
+    ref = an_fgm_solve(X, B, SolverConfig(max_iter=20000))
+    assert len(short.trace) == 31
+    # the bound brackets the infimum that the short run overestimates
+    assert short.lower_bound <= ref.infimum < short.infimum
+    assert ref.objective <= short.objective
+    assert short.gap == pytest.approx((short.infimum - short.lower_bound) / short.infimum)
+    assert 0.0 < short.gap < 1.0
+
+
+@pytest.mark.parametrize("family,n,m", [
+    ("gaussian", 10, 6),        # n > m: r = m < n
+    ("gaussian", 6, 10),        # n < m: r = n
+    ("gaussian", 8, 8),         # r = n
+    ("rank_deficient", 12, 9),  # n > m, r < m
+    ("rank_deficient", 8, 12),  # n < m, r < n
+])
+def test_bound_below_objective_across_shapes(family, n, m):
+    for seed in range(3):
+        X, B = gen(InstanceSpec(family, n, m, seed))
+        ref = an_fgm_solve(X, B, SolverConfig(max_iter=5000))
+        for iters in (1, 10, 100):
+            sol = an_fgm_solve(X, B, SolverConfig(max_iter=iters), use_closed_forms=False)
+            assert sol.lower_bound <= sol.infimum <= sol.objective
+            assert sol.lower_bound <= ref.infimum * (1.0 + 1e-12)
+            assert 0.0 <= sol.gap <= 1.0
+
+
+def test_dual_bound_exact_at_a_positive_definite_optimum():
+    # B11 = A* Sigma with A* positive definite: the optimum is unconstrained
+    sigma = np.array([3.0, 2.0, 1.0])
+    A_star = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]])
+    red = reduce_problem(np.diag(sigma), A_star * sigma)
+    # the singular vectors of a diagonal X are signed unit vectors
+    A11 = red.U1.T @ A_star @ red.U1
+    assert dual_bound(red, A11) == pytest.approx(0.0, abs=1e-24)
+
+
+def test_rank_deficient_run_stops_at_the_first_check():
+    X, B = gen(InstanceSpec("rank_deficient", 30, 30, 4))
+    sol = an_fgm_solve(X, B)
+    assert len(sol.trace) == solvers.GAP_EVERY + 1
+    assert sol.gap <= solvers.GAP_TOL
+    red = reduce_problem(X, B)
+    Xsub = np.diag(red.sigma1)
+    full = fgm_solve(Xsub, red.B11, init_recursive(Xsub, red.B11), SolverConfig(max_iter=1000))
+    assert len(full.trace) == 1001
+    assert sol.infimum == pytest.approx(full.best_objective + red.offset, rel=1e-12)
+
+
+def test_ill_conditioned_run_never_certifies_and_is_unchanged(monkeypatch):
+    X, B = gen(InstanceSpec("ill_conditioned", 30, 30, 2, kappa_target=1e6))
+    cfg = SolverConfig(max_iter=400)
+    sol = an_fgm_solve(X, B, cfg)
+    assert len(sol.trace) == cfg.max_iter + 1
+    assert sol.gap > solvers.GAP_TOL
+    monkeypatch.setattr(
+        pipeline, "fgm_solve",
+        lambda X, B, A0, cfg, certificate=None: solvers.fgm_solve(X, B, A0, cfg),
+    )
+    plain = an_fgm_solve(X, B, cfg)
+    assert np.array_equal(sol.A, plain.A)
+    assert sol.objective == plain.objective
+    assert sol.trace.objectives == plain.trace.objectives
+
+
+@pytest.mark.parametrize("max_iter", [1, 49, 50, 120, 1000])
+def test_certificate_checked_every_gap_every_iterations(max_iter):
+    X, B = gen(InstanceSpec("gaussian", 6, 6, 9))
+    A0 = np.zeros((6, 6))
+    cfg = SolverConfig(max_iter=max_iter)
+    calls = []
+
+    def never(A, f):
+        calls.append(f)
+        return 1.0
+
+    checked = fgm_solve(X, B, A0, cfg, certificate=never)
+    plain = fgm_solve(X, B, A0, cfg)
+    assert len(calls) == max_iter // solvers.GAP_EVERY
+    assert np.array_equal(checked.A, plain.A)
+    assert checked.trace.objectives == plain.trace.objectives
+    # the certificate sees the best iterate's squared objective
+    assert all(f >= plain.best_objective for f in calls)

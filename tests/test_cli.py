@@ -164,3 +164,18 @@ def test_console_entry_point(tmp_path):
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert os.path.exists(out)
+
+
+def test_solve_prints_the_certified_interval(tmp_path, capsys):
+    # rank-deficient X takes the iterative route, which certifies a lower bound
+    X, B = gen(InstanceSpec("rank_deficient", 8, 8, 5))
+    xp, bp = write_instance(tmp_path, X, B)
+    assert cli.main(["solve", xp, bp]) == 0
+    header, _ = capture_solution(capsys, tmp_path)
+    lower, infimum = float(header["lower_bound"]), float(header["infimum"])
+    assert 0.0 < lower <= infimum <= float(header["objective"])
+    assert float(header["gap"]) == pytest.approx((infimum - lower) / infimum, abs=1e-15)
+    # the full-space methods certify nothing and print no interval
+    assert cli.main(["solve", xp, bp, "--method", "fgm", "--max-iter", "20"]) == 0
+    header, _ = capture_solution(capsys, tmp_path)
+    assert "lower_bound" not in header and "gap" not in header
