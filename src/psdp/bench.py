@@ -230,13 +230,10 @@ def run_init_experiment(trials, iters, out_dir=None, seed0=2024, alpha1=0.1):
 
 
 def _panel_dims(shape, size):
-    if shape == "square":
-        return size, size
-    if shape == "wide":
-        return size // 2, size
-    if shape == "tall":
-        return size, size // 2
-    raise ParameterError("unknown shape %r; choose one of %s" % (shape, ", ".join(SHAPES)))
+    dims = {"square": (size, size), "wide": (size // 2, size), "tall": (size, size // 2)}
+    if shape not in dims:
+        raise ParameterError("unknown shape %r; choose one of %s" % (shape, ", ".join(SHAPES)))
+    return dims[shape]
 
 
 _SUITE_FAMILY = {"well": "gaussian", "ill": "ill_conditioned", "rankdef": "rank_deficient"}

@@ -40,16 +40,10 @@ _CONFIG_ERRORS = (
     OSError,
 )
 
-_FAMILY_ALIASES = {
-    "gaussian": "gaussian",
-    "uniform": "uniform",
-    "ill": "ill_conditioned",
-    "ill_conditioned": "ill_conditioned",
-    "rankdef": "rank_deficient",
-    "rank_deficient": "rank_deficient",
-    "init": "init_experiment",
-    "init_experiment": "init_experiment",
-}
+_FAMILY_ALIASES = dict(
+    {f: f for f in bench.FAMILIES}, ill="ill_conditioned", rankdef="rank_deficient",
+    init="init_experiment",
+)
 
 
 def build_parser():
@@ -121,12 +115,9 @@ def _cmd_solve(args):
 
 def _cmd_gen(args):
     family = _FAMILY_ALIASES[args.family]
-    if family in ("uniform", "init_experiment"):
-        n = 37 if args.n is None else args.n
-        m = 37 if args.m is None else args.m
-    else:
-        n = 50 if args.n is None else args.n
-        m = 50 if args.m is None else args.m
+    size = 37 if family in ("uniform", "init_experiment") else 50
+    n = size if args.n is None else args.n
+    m = size if args.m is None else args.m
     spec = bench.InstanceSpec(family, n, m, args.seed,
                               kappa_target=args.kappa, b_dist=args.b_dist)
     X, B = bench.gen(spec)

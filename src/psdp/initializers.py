@@ -6,7 +6,7 @@ Four initializations of increasing sophistication:
 * PSD projection of the unconstrained least-squares solution B X^+;
 * best PSD diagonal, solvable row by row in closed form;
 * recursive splitting for diagonal X: partition the (sorted) diagonal
-  into blocks of condition number at most kappa_max, warm-start each
+  into blocks of condition number at most KAPPA_MAX, warm-start each
   block with the diagonal rule plus a short fast-gradient run, and
   assemble the results block-diagonally.  Cheap because each block is
   well conditioned, and it strictly improves on the diagonal rule.
@@ -107,14 +107,14 @@ def split_diagonal(d, kappa_max=KAPPA_MAX):
     return Partition(tuple(blocks), kappas)
 
 
-def init_recursive(sigma1, B11, cfg=None, kappa_max=KAPPA_MAX, block_iters=BLOCK_ITERS):
+def init_recursive(sigma1, B11, cfg=None):
     """Recursive block initialization for a diagonal data matrix.
 
     ``sigma1`` may be a 1-D vector of positive diagonal entries, in any
     order, or a diagonal matrix; anything non-diagonal raises
     InapplicableError.  Entries are sorted ascending, split with
-    ``split_diagonal``, and each block subproblem gets its diagonal
-    initialization refined by ``block_iters`` fast-gradient iterations
+    ``split_diagonal`` at KAPPA_MAX, and each block subproblem gets its
+    diagonal initialization refined by BLOCK_ITERS fast-gradient iterations
     using the block's own curvature constants; the best block iterate
     is kept, so the result never trails the plain diagonal rule.
     """
@@ -134,13 +134,13 @@ def init_recursive(sigma1, B11, cfg=None, kappa_max=KAPPA_MAX, block_iters=BLOCK
     cfg = cfg or SolverConfig()
     bcfg = replace(
         cfg,
-        max_iter=block_iters,
+        max_iter=BLOCK_ITERS,
         record_trace=False,
         objective_tol=None,
         wall_clock_budget=None,
     )
     order = np.argsort(sig, kind="stable")
-    part = split_diagonal(sig[order], kappa_max)
+    part = split_diagonal(sig[order])
     A0 = np.zeros((r, r))
     for lo, hi in part.blocks:
         idx = order[lo:hi]

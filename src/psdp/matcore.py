@@ -17,6 +17,8 @@ import numpy as np
 from .errors import DimensionError, NumericError, ParameterError
 
 EPS = float(np.finfo(np.float64).eps)
+PINV_TOL = 1e-12  # eigenvalues at or below PINV_TOL times the largest invert to 0
+PSD_TOL = 1e-8  # the relative slack of ``is_psd``
 
 
 def as_matrix(M, name="matrix"):
@@ -78,17 +80,25 @@ class SymEig(NamedTuple):
 
 
 class SvdFactors(NamedTuple):
-    """SVD M = U @ Sigma @ V.T, full or thin.
+    """Thin SVD M = U @ diag(S) @ V.T.
 
     S holds the k = min(n, m) singular values, nonincreasing and
-    nonnegative.  Full factors have U (n, n) and V (m, m) orthogonal;
-    thin factors keep the leading k columns of each, U (n, k) and
-    V (m, k) with orthonormal columns, and M = U @ diag(S) @ V.T.
+    nonnegative; U (n, k) and V (m, k) have orthonormal columns.
     """
 
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
+
+
+def _lapack(fn, M, what, **kwargs):
+    """fn(M, **kwargs), a LAPACK failure raised as NumericError naming ``what``."""
+    try:
+        return fn(M, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            "%s failed for shape %s (|M|_F=%.3e): %s" % (what, (M.shape,), np.linalg.norm(M), exc)
+        ) from exc
 
 
 def eigh_sorted(S):
@@ -99,38 +109,23 @@ def eigh_sorted(S):
     SymEig
         Named tuple (Q, lam) with S_sym = Q @ diag(lam) @ Q.T.
     """
-    S = sym_part(S)
-    try:
-        w, Q = np.linalg.eigh(S)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            "symmetric eigendecomposition failed for shape %s (|S|_F=%.3e): %s"
-            % ((S.shape,), np.linalg.norm(S), exc)
-        ) from exc
+    w, Q = _lapack(np.linalg.eigh, sym_part(S), "symmetric eigendecomposition")
     if not np.isfinite(w).all():
         raise NumericError("eigensolver returned non-finite eigenvalues")
     return SymEig(Q[:, ::-1].copy(), w[::-1].copy())
 
 
-def svd(M, full_matrices=True):
-    """Singular value decomposition, M = U @ diag-embed(S) @ V.T.
+def svd(M):
+    """Thin singular value decomposition, M = U @ diag(S) @ V.T.
 
     Returns
     -------
     SvdFactors
-        U is n-by-n orthogonal, V is m-by-m orthogonal, S nonincreasing.
-        With ``full_matrices=False`` the factors are thin: U is n-by-k
-        and V is m-by-k with k = min(n, m), which costs O(n m k) instead
-        of O(n^2 m + n m^2) and never forms the complementary bases.
+        U is n-by-k and V is m-by-k with orthonormal columns,
+        k = min(n, m), and S nonincreasing.  Costs O(n m k); the
+        complementary bases are never formed.
     """
-    M = as_matrix(M)
-    try:
-        U, s, Vh = np.linalg.svd(M, full_matrices=full_matrices)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            "SVD failed for shape %s (|M|_F=%.3e): %s"
-            % ((M.shape,), np.linalg.norm(M), exc)
-        ) from exc
+    U, s, Vh = _lapack(np.linalg.svd, as_matrix(M), "SVD", full_matrices=False)
     if not (np.isfinite(s).all() and (np.diff(s) <= 0).all() and (s >= 0).all()):
         raise NumericError("SVD returned invalid singular values")
     return SvdFactors(U, s, Vh.T)
@@ -143,37 +138,30 @@ def psd_project(M):
     result is re-symmetrized to shed rounding asymmetry, so repeated
     application is idempotent to machine precision.
     """
-    S = sym_part(M)
-    try:
-        w, Q = np.linalg.eigh(S)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            "PSD projection eigensolve failed for shape %s (|S|_F=%.3e): %s"
-            % ((S.shape,), np.linalg.norm(S), exc)
-        ) from exc
+    w, Q = _lapack(np.linalg.eigh, sym_part(M), "PSD projection eigensolve")
     np.maximum(w, 0.0, out=w)
     P = (Q * w) @ Q.T
     return (P + P.T) / 2.0
 
 
-def pinv_psd(S, tol=1e-12):
+def pinv_psd(S):
     """Moore-Penrose pseudoinverse of a symmetric PSD matrix.
 
-    Eigenvalues at or below ``tol`` times the largest one are treated as
-    zero.  The result is symmetric PSD with the same kernel.
+    Eigenvalues at or below PINV_TOL times the largest one are treated
+    as zero.  The result is symmetric PSD with the same kernel.
     """
-    return pinv_from_eig(eigh_sorted(S), tol)
+    return pinv_from_eig(eigh_sorted(S))
 
 
-def pinv_from_eig(eig, tol=1e-12):
+def pinv_from_eig(eig):
     """``pinv_psd`` of the matrix whose eigendecomposition is ``eig`` (a SymEig)."""
     Q, lam = eig
     lam_max = max(float(lam[0]), 0.0)
     if lam_max == 0.0:
         return np.zeros_like(Q)
-    inv = np.where(lam > tol * lam_max, 1.0, 0.0)
+    keep = lam > PINV_TOL * lam_max
     # avoid 0/0 warnings on the clipped entries
-    inv = np.divide(inv, np.where(lam > tol * lam_max, lam, 1.0))
+    inv = np.divide(np.where(keep, 1.0, 0.0), np.where(keep, lam, 1.0))
     P = (Q * inv) @ Q.T
     return (P + P.T) / 2.0
 
@@ -183,13 +171,13 @@ def default_rank_tol(n, m, sigma_max):
     return max(n, m) * EPS * sigma_max
 
 
-def is_psd(S, tol=1e-8):
-    """Whether ``S`` is symmetric PSD up to a relative tolerance."""
+def is_psd(S):
+    """Whether ``S`` is symmetric PSD up to the relative tolerance PSD_TOL."""
     S = as_matrix(S)
     if S.shape[0] != S.shape[1]:
         return False
     scale = max(1.0, float(np.abs(S).max()))
-    if np.abs(S - S.T).max() > tol * scale:
+    if np.abs(S - S.T).max() > PSD_TOL * scale:
         return False
     w = np.linalg.eigvalsh((S + S.T) / 2.0)
-    return bool(w[0] >= -tol * max(1.0, float(abs(w[-1])), float(abs(w[0]))))
+    return bool(w[0] >= -PSD_TOL * max(1.0, float(abs(w[-1])), float(abs(w[0]))))

@@ -25,15 +25,15 @@ from .reduction import (
     assemble_epsilon,
     assemble_optimal,
     default_epsilon,
-    dual_bound,
+    factor_and_bound,
     infimum_value,
     kernel_contained,
-    make_subproblem_solution,
     negative_case_solution,
     rank1_solve,
     reduce_problem,
     relative_gap,
 )
+from .reduction import make_subproblem_solution  # noqa: F401  (perfbench's tracer wraps this name)
 from .solution import IterateTrace, PsdpSolution
 from .solvers import SolverConfig, fgm_solve, gradient_solve, partan_solve
 
@@ -54,7 +54,10 @@ def _degenerate_solution(B):
     value = fro_norm(B) ** 2
     A = np.zeros((B.shape[0], B.shape[0]))
     trace = IterateTrace(objectives=[value**0.5], timestamps=[0.0])
-    return PsdpSolution(A=A, objective=value, infimum=value, attained=True, trace=trace)
+    return PsdpSolution(
+        A=A, objective=value, infimum=value, attained=True, trace=trace,
+        lower_bound=value, gap=0.0,
+    )
 
 
 def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recursive"):
@@ -78,13 +81,13 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
     Returns
     -------
     PsdpSolution
-        With infimum and attained always filled, and the trace mapped
-        back to original coordinates (objective entries are
-        sqrt(subproblem residual^2 + offset)).  On the iterative route
-        infimum is the upper end of a certified interval: lower_bound is
-        the dual bound ``dual_bound`` at the returned iterate and gap the
-        relative width (infimum - lower_bound) / infimum.  The reduced
-        run stops early once that gap is at most ``solvers.GAP_TOL``.
+        With infimum, attained, lower_bound and gap always filled, and
+        the trace mapped back to original coordinates (objective entries
+        are sqrt(subproblem residual^2 + offset)).  On the iterative
+        route lower_bound is ``dual_bound`` at the returned iterate and
+        gap = (infimum - lower_bound) / infimum; the reduced run stops
+        once gap <= ``solvers.GAP_TOL``.  Elsewhere the infimum is exact
+        and gap is 0.
     """
     cfg = cfg or SolverConfig()
     X = as_matrix(X, "X")
@@ -107,11 +110,17 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
     Xsub = np.diag(red.sigma1)
     A0 = INITIALIZERS[sub_init](Xsub, red.B11, cfg)
 
+    # (sub, bound) of the last gap check, reused when it checked best_A
+    checked = [None, None]
+
     def certificate(A11, f):
-        return relative_gap(f + red.offset, dual_bound(red, A11))
+        checked[:] = factor_and_bound(red, A11)
+        return relative_gap(f + red.offset, checked[1])
 
     sub_run = fgm_solve(Xsub, red.B11, A0, cfg, certificate=certificate)
-    sub = make_subproblem_solution(sub_run.best_A, red)
+    sub, bound = checked
+    if sub is None or not np.array_equal(sub.A11hat, sub_run.best_A):
+        sub, bound = factor_and_bound(red, sub_run.best_A)
 
     if kernel_contained(sub, red):
         out = assemble_optimal(red, sub)
@@ -120,7 +129,7 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
             eps = default_epsilon(infimum_value(red, sub), sub.residual)
         out = assemble_epsilon(red, sub, eps)
     # the bound can exceed the upper estimate only by rounding
-    out.lower_bound = min(dual_bound(red, sub.A11hat), out.infimum)
+    out.lower_bound = min(bound, out.infimum)
     out.gap = relative_gap(out.infimum, out.lower_bound)
 
     if sub_run.trace is not None:

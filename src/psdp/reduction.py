@@ -21,9 +21,9 @@ Y = U2 Z = (I - U1 U1.T) B V1 Sigma1^{-1}, which the reduction stores.
 A solution U [[A11, Z.T], [Z, Z W Z.T]] U.T is then assembled as
 [U1 Y] [[A11, I], [I, W]] [U1 Y].T in O(n^2 r), and neither U2 nor
 any other n-by-n factor is formed; U2, V2 and Z are derived on demand
-for callers that ask for them.  The subproblem minimizer is
-eigendecomposed once, in ``make_subproblem_solution``; the attainment
-test and both assemblies read that decomposition.  Two instance classes
+for callers that ask for them.  A subproblem candidate is factored once,
+in ``make_subproblem_solution``; the attainment test, the dual bound
+and both assemblies read that factorization.  Two instance classes
 admit closed forms without any iteration: rank-one X (``rank1_solve``)
 and the negative semidefinite case (``negative_case_solution``).
 """
@@ -59,6 +59,7 @@ from .solution import PsdpSolution
 
 # eigenvalues at or below KERNEL_TOL times the largest are kernel directions
 KERNEL_TOL = 1e-8
+ZERO_TOL = 1e-12  # rank1_solve's w is zero when |w| <= ZERO_TOL * max(1, |B v|)
 
 
 def _complement(Q):
@@ -111,10 +112,9 @@ class ReducedProblem:
 class SubproblemSolution:
     """A PSD candidate for the r-by-r subproblem.
 
-    residual is |A11hat @ diag(sigma1) - B11|_F, rank_s the numerical
-    rank of A11hat under the kernel tolerance and eig its
-    eigendecomposition, which the attainment test and the assemblies
-    reuse instead of factoring A11hat again.
+    residual is |A11hat @ diag(sigma1) - B11|_F, eig its sorted
+    eigendecomposition and rank_s its numerical rank under KERNEL_TOL,
+    so eig.Q[:, rank_s:] spans its numerical kernel.
     """
 
     A11hat: np.ndarray
@@ -137,7 +137,7 @@ def reduce_problem(X, B, rank_tol=None):
             "X and B must have equal shapes, got %s and %s" % ((X.shape,), (B.shape,))
         )
     n, m = X.shape
-    U, s, V = svd(X, full_matrices=False)
+    U, s, V = svd(X)
     tol = default_rank_tol(n, m, float(s[0]) if s.size else 0.0) if rank_tol is None else rank_tol
     r = int(np.count_nonzero(s > tol))
     if r == 0:
@@ -156,12 +156,18 @@ def subproblem_residual(A11, red):
     return float(np.linalg.norm(A11 * red.sigma1 - red.B11, "fro"))
 
 
-def _positive(lam, tol):
-    """Mask of the eigenvalues above tol times the largest, all False when none is positive."""
-    return lam > tol * max(float(lam[0]), 0.0)
+def _numerical_rank(lam):
+    """Count of the nonincreasing eigenvalues lam above KERNEL_TOL times the largest."""
+    return int(np.count_nonzero(lam > KERNEL_TOL * max(float(lam[0]), 0.0)))
 
 
-def make_subproblem_solution(A11hat, red, tol=KERNEL_TOL):
+def _kernel_excess(C, N):
+    """|C N|_F when it exceeds KERNEL_TOL * max(1, |C|_F) (range(N) not in ker(C)), else None."""
+    cn = float(np.linalg.norm(C @ N, "fro"))
+    return cn if cn > KERNEL_TOL * max(1.0, float(np.linalg.norm(C, "fro"))) else None
+
+
+def make_subproblem_solution(A11hat, red):
     """Wrap a candidate A11hat with its residual, numerical rank and eigendecomposition."""
     A11hat = as_matrix(A11hat, "A11hat")
     if A11hat.shape != (red.r, red.r):
@@ -169,20 +175,18 @@ def make_subproblem_solution(A11hat, red, tol=KERNEL_TOL):
             "A11hat must be %d-by-%d, got %s" % (red.r, red.r, (A11hat.shape,))
         )
     eig = eigh_sorted(A11hat)
-    rank_s = int(np.count_nonzero(_positive(eig.lam, tol)))
+    rank_s = _numerical_rank(eig.lam)
     return SubproblemSolution(A11hat, subproblem_residual(A11hat, red), rank_s, eig)
 
 
-def kernel_contained(sub, red, tol=KERNEL_TOL):
+def kernel_contained(sub, red):
     """Whether ker(A11hat) lies inside ker(Z), the attainment criterion.
 
     Vacuously true when r = n (Z is empty) or A11hat is positive
-    definite under the tolerance (no kernel directions N).  Reads Y = U2 Z,
+    definite under KERNEL_TOL (no kernel directions).  Reads Y = U2 Z,
     whose norms |Y N|_F and |Y|_F equal |Z N|_F and |Z|_F.
     """
-    N = sub.eig.Q[:, ~_positive(sub.eig.lam, tol)]
-    zn = float(np.linalg.norm(red.Y @ N, "fro"))
-    return zn <= tol * max(1.0, float(np.linalg.norm(red.Y, "fro")))
+    return _kernel_excess(red.Y, sub.eig.Q[:, sub.rank_s:]) is None
 
 
 def _rotate_blocks(red, A11, W, dK=None):
@@ -226,37 +230,47 @@ def infimum_value(red, sub):
     return sub.residual**2 + red.offset
 
 
-def dual_bound(red, A11):
-    """Certified lower bound on the infimum from a subproblem iterate A11.
+def dual_bound(red, sub):
+    """Certified lower bound on the infimum from a subproblem candidate.
 
-    With Sigma = diag(sigma1), C = B11 and M = C Sigma + Sigma C.T, the
-    Lagrangian f(A) - <Lambda, A> of min_{A psd} f(A) = |A Sigma - C|^2
-    is minimized over symmetric A by
-    A(Lambda) = (M + Lambda) / (sigma_i^2 + sigma_j^2), so
-    f(A(Lambda)) - <Lambda, A(Lambda)> + offset bounds the infimum from
-    below for every psd Lambda.  The multiplier is
-    Lambda = K proj_psd(K.T G K) K.T, the gradient
-    G = A11 Sigma^2 + Sigma^2 A11 - M compressed to the numerical kernel
-    K of A11 (eigenvalues at or below KERNEL_TOL times the largest).  At
-    the optimum G vanishes on the range of A11 and is the multiplier on
-    its kernel, so the bound closes to rounding level as A11 converges;
-    the uncompressed proj_psd(G) keeps the rounding noise on the range
-    and stalls at relative gaps of 1e-13 to 1e-9 on converged
-    rank-deficient instances.  Costs two symmetric eigendecompositions,
-    of orders r and dim ker(A11).
+    With Sigma = diag(sigma1), C = B11, M = C Sigma + Sigma C.T and
+    D = sigma_i^2 + sigma_j^2, the Lagrangian f(A) - <Lambda, A> of
+    min_{A psd} f(A) = |A Sigma - C|^2 is minimized over symmetric A by
+    A(Lambda) = (M + Lambda) / D, so g(Lambda) = f(A(Lambda)) -
+    <Lambda, A(Lambda)> + offset is a lower bound for every psd Lambda.
+    Lambda = K proj_psd(K.T G K) K.T is the gradient G = A11 Sigma^2 +
+    Sigma^2 A11 - M at A11 = sub.A11hat compressed to its numerical
+    kernel K = eig.Q[:, rank_s:]: at the optimum G vanishes on the range
+    of A11 and is the multiplier on its kernel, so the bound closes to
+    rounding level as A11 converges (the uncompressed proj_psd(G) stalls
+    at relative gaps of 1e-13 to 1e-9).  Far from
+    the optimum Lambda overshoots, so its best scale t >= 0 is taken:
+    g(t Lambda) = g(0) - t a - t^2 b / 2 with a = <Lambda, M / D> and
+    b = <Lambda, Lambda / D>, so t = max(0, -a / b) gains
+    (1 - t) (a + (1 + t) b / 2) over g(Lambda); only K.T G K is factored.
     """
     sigma = red.sigma1
     s2 = sigma * sigma
     denom = s2[:, None] + s2[None, :]
     M = negative_condition(red)
-    Q, lam = eigh_sorted(A11)
-    K = Q[:, ~_positive(lam, KERNEL_TOL)]
-    Lam = 0.0
+    # column-major, as a gathered block: BLAS rounds the strided view differently
+    K = np.asfortranarray(sub.eig.Q[:, sub.rank_s:])
+    Lam, gain = 0.0, 0.0
     if K.shape[1]:
-        Lam = K @ psd_project(K.T @ (sym_part(A11) * denom - M) @ K) @ K.T
+        Lam = K @ psd_project(K.T @ (sym_part(sub.A11hat) * denom - M) @ K) @ K.T
+        a = float(np.sum(Lam * M / denom))
+        b = float(np.sum(Lam * Lam / denom))
+        t = max(0.0, -a / b) if b > 0.0 else 1.0
+        gain = (1.0 - t) * (a + (1.0 + t) * b / 2.0)
     A_lam = (M + Lam) / denom
     f = float(np.linalg.norm(A_lam * sigma - red.B11, "fro")) ** 2
-    return max(0.0, f - float(np.sum(Lam * A_lam)) + red.offset)
+    return max(0.0, f - float(np.sum(Lam * A_lam)) + red.offset + gain)
+
+
+def factor_and_bound(red, A11hat):
+    """``make_subproblem_solution`` of a candidate and ``dual_bound`` at it, as a pair."""
+    sub = make_subproblem_solution(A11hat, red)
+    return sub, dual_bound(red, sub)
 
 
 def relative_gap(upper, lower):
@@ -281,9 +295,8 @@ def minimal_norm_completion(Bblk, Cblk):
             "coupling block must have %d columns, got %s" % (Bblk.shape[0], (Cblk.shape,))
         )
     eig = eigh_sorted(Bblk)
-    N = eig.Q[:, ~_positive(eig.lam, KERNEL_TOL)]
-    cn = float(np.linalg.norm(Cblk @ N, "fro"))
-    if cn > KERNEL_TOL * max(1.0, float(np.linalg.norm(Cblk, "fro"))):
+    cn = _kernel_excess(Cblk, eig.Q[:, _numerical_rank(eig.lam):])
+    if cn is not None:
         raise ConstraintViolationError(
             "kernel of the leading block is not contained in the kernel of the "
             "coupling block (|C N|_F = %.3e); no PSD completion exists" % cn
@@ -333,7 +346,7 @@ def _check_eps(eps, residual):
         )
 
 
-def assemble_epsilon(red, sub, eps, K_eps=None, tol=KERNEL_TOL):
+def assemble_epsilon(red, sub, eps, K_eps=None):
     """Build a feasible A_eps with objective < infimum + eps.
 
     Kernel directions of A11hat are lifted to the level eps / beta with
@@ -346,20 +359,15 @@ def assemble_epsilon(red, sub, eps, K_eps=None, tol=KERNEL_TOL):
     """
     res = sub.residual
     _check_eps(eps, res)
-    Q, lam = sub.eig
-    keep = _positive(lam, tol)
-    Qp, lam_p, N = Q[:, keep], lam[keep], Q[:, ~keep]
+    s = sub.rank_s
+    Qp, lam_p, N = sub.eig.Q[:, :s], sub.eig.lam[:s], sub.eig.Q[:, s:]
+    A11_eps, A11_inv = sub.A11hat, (Qp / lam_p) @ Qp.T
     k = N.shape[1]
-    sig_norm = float(np.linalg.norm(red.sigma1))
-    if k == 0:
-        # positive definite candidate: nothing to lift
-        A11_eps = sub.A11hat
-        A11_inv = (Qp / lam_p) @ Qp.T
-    else:
-        beta = 4.0 * math.sqrt(k) * sig_norm * (res if res > 0 else 1.0)
+    if k:
+        beta = 4.0 * math.sqrt(k) * float(np.linalg.norm(red.sigma1)) * (res if res > 0 else 1.0)
         upsilon = eps / beta
         A11_eps = sym_part((Qp * lam_p) @ Qp.T + upsilon * (N @ N.T))
-        A11_inv = (Qp / lam_p) @ Qp.T + (N @ N.T) / upsilon if lam_p.size else (N @ N.T) / upsilon
+        A11_inv = A11_inv + (N @ N.T) / upsilon
     dK = None if K_eps is None else _trailing_excess(red, K_eps, A11_inv, "K_eps")
     infimum = infimum_value(red, sub)
     objective = subproblem_residual(A11_eps, red) ** 2 + red.offset
@@ -378,7 +386,7 @@ def negative_condition(red):
     return C + C.T
 
 
-def negative_case_solution(red, X=None, B=None, eps=None, tol=KERNEL_TOL):
+def negative_case_solution(red, X=None, B=None, eps=None):
     """Closed form when U1.T (B X.T + X B.T) U1 is negative semidefinite.
 
     Requires r < n; r = n raises InapplicableError.  When the condition
@@ -386,15 +394,15 @@ def negative_case_solution(red, X=None, B=None, eps=None, tol=KERNEL_TOL):
     |U1.T B V1|^2 + |B V2|^2 and is never attained; the returned A_eps
     uses the leading block (eps / alpha) I with
     alpha = 4 sqrt(n) |sigma1| |U1.T B V1|_F (the norm factor dropped
-    when it vanishes).  Returns None when the condition fails.  The
-    condition is formed from ``red`` alone (``negative_condition``), so
-    X and B are not read.
+    when it vanishes); lower_bound = infimum, gap 0.  Returns None when
+    the condition fails.  The condition is formed from ``red`` alone
+    (``negative_condition``), so X and B are not read.
     """
     if red.r == red.n:
         raise InapplicableError("closed form requires rank(X) < n")
     w = np.linalg.eigvalsh(negative_condition(red))
     scale = max(1.0, float(abs(w[0])), float(abs(w[-1])))
-    if float(w[-1]) > tol * scale:
+    if float(w[-1]) > KERNEL_TOL * scale:
         return None
     b_norm = float(np.linalg.norm(red.B11, "fro"))
     infimum = b_norm**2 + red.offset
@@ -408,11 +416,12 @@ def negative_case_solution(red, X=None, B=None, eps=None, tol=KERNEL_TOL):
     objective = subproblem_residual(A11_eps, red) ** 2 + red.offset
     A = _rotate_blocks(red, A11_eps, np.eye(red.r) / c)
     return PsdpSolution(
-        A=A, objective=objective, infimum=infimum, attained=False, epsilon=eps
+        A=A, objective=objective, infimum=infimum, attained=False, epsilon=eps,
+        lower_bound=infimum, gap=0.0,
     )
 
 
-def rank1_solve(X, B, eps=None, rank_tol=None, zero_tol=1e-12, red=None):
+def rank1_solve(X, B, eps=None, red=None):
     """Closed-form solution when X has numerical rank one.
 
     With X = sigma u v.T, t = u.T B v and w the components of B v
@@ -426,14 +435,14 @@ def rank1_solve(X, B, eps=None, rank_tol=None, zero_tol=1e-12, red=None):
       sigma^2 / n0^2 - 2 sigma t / n0 < eps, and trailing block
       (n0 / sigma^2) w w.T.
 
-    For the unattained regime any eps > 0 is admissible.  Inputs of
-    rank other than one raise InapplicableError.  ``red``, when given,
-    is the ReducedProblem of (X, B) and is used instead of reducing
-    again (``rank_tol`` is then not read).
+    For the unattained regime any eps > 0 is admissible.  The infimum
+    is exact: lower_bound = infimum, gap 0.  Inputs of rank other than
+    one raise InapplicableError.  ``red``, when given, is the
+    ReducedProblem of (X, B) and is used instead of reducing again.
     """
     if red is None:
         try:
-            red = reduce_problem(X, B, rank_tol)
+            red = reduce_problem(X, B)
         except DegenerateProblemError as exc:
             raise InapplicableError(
                 "closed form requires numerical rank 1, got rank 0"
@@ -448,13 +457,17 @@ def rank1_solve(X, B, eps=None, rank_tol=None, zero_tol=1e-12, red=None):
     if t > 0.0:
         a = t / sigma
         A = _rotate_blocks(red, np.array([[a]]), np.array([[1.0 / a]]))
-        return PsdpSolution(A=A, objective=red.offset, infimum=red.offset, attained=True)
+        return PsdpSolution(
+            A=A, objective=red.offset, infimum=red.offset, attained=True,
+            lower_bound=red.offset, gap=0.0,
+        )
 
     infimum = t**2 + red.offset
     # |B v|^2 = t^2 + |w|^2
-    if w_norm <= zero_tol * max(1.0, math.hypot(t, w_norm)):
+    if w_norm <= ZERO_TOL * max(1.0, math.hypot(t, w_norm)):
         return PsdpSolution(
-            A=np.zeros((red.n, red.n)), objective=infimum, infimum=infimum, attained=True
+            A=np.zeros((red.n, red.n)), objective=infimum, infimum=infimum, attained=True,
+            lower_bound=infimum, gap=0.0,
         )
 
     if eps is None:
@@ -470,4 +483,7 @@ def rank1_solve(X, B, eps=None, rank_tol=None, zero_tol=1e-12, red=None):
     a = 1.0 / n0
     A = _rotate_blocks(red, np.array([[a]]), np.array([[1.0 / a]]))
     objective = infimum + sigma**2 / n0**2 - 2.0 * sigma * t / n0
-    return PsdpSolution(A=A, objective=objective, infimum=infimum, attained=False, epsilon=eps)
+    return PsdpSolution(
+        A=A, objective=objective, infimum=infimum, attained=False, epsilon=eps,
+        lower_bound=infimum, gap=0.0,
+    )

@@ -25,12 +25,11 @@ class PsdpSolution:
 
     objective is the squared Frobenius residual of ``A``.  infimum and
     attained are filled by ``an_fgm_solve``; the full-space iterative
-    solvers leave both None.  On the closed-form routes infimum is
-    exact.  On the iterative route it is the solver's upper estimate,
-    and lower_bound is a certified lower bound on the true infimum, so
-    the true value lies in [lower_bound, infimum]; gap is the relative
-    width (infimum - lower_bound) / infimum.  Other routes leave
-    lower_bound and gap None.
+    solvers leave them, lower_bound and gap None.  lower_bound is a
+    certified lower bound on the true infimum, so the true value lies in
+    [lower_bound, infimum], and gap is the relative width
+    (infimum - lower_bound) / infimum.  infimum is the solver's upper
+    estimate on the iterative route and exact elsewhere (gap 0).
     When the infimum is not attained, ``A`` is an epsilon-suboptimal
     feasible point and epsilon records the accuracy target, with
     objective < infimum + epsilon.  best_A / best_objective track the

@@ -6,7 +6,8 @@ import pytest
 from psdp import SolverConfig, an_fgm_solve, fgm_solve, init_recursive, reduce_problem
 from psdp import pipeline, solvers
 from psdp.bench import InstanceSpec, gen
-from psdp.reduction import dual_bound
+from psdp.matcore import sym_part
+from psdp.reduction import dual_bound, make_subproblem_solution
 
 
 def baseline_instance():
@@ -55,7 +56,7 @@ def test_dual_bound_exact_at_a_positive_definite_optimum():
     red = reduce_problem(np.diag(sigma), A_star * sigma)
     # the singular vectors of a diagonal X are signed unit vectors
     A11 = red.U1.T @ A_star @ red.U1
-    assert dual_bound(red, A11) == pytest.approx(0.0, abs=1e-24)
+    assert dual_bound(red, make_subproblem_solution(A11, red)) == pytest.approx(0.0, abs=1e-24)
 
 
 def test_rank_deficient_run_stops_at_the_first_check():
@@ -84,6 +85,36 @@ def test_ill_conditioned_run_never_certifies_and_is_unchanged(monkeypatch):
     assert np.array_equal(sol.A, plain.A)
     assert sol.objective == plain.objective
     assert sol.trace.objectives == plain.trace.objectives
+
+
+def test_certified_run_factors_the_returned_candidate_once(monkeypatch):
+    # the last gap check saw the returned candidate: its factorization and
+    # bound serve the attainment test, the assembly and the reported gap
+    X, B = gen(InstanceSpec("rank_deficient", 30, 30, 4))
+    runs = []
+
+    def main_run(*args, **kwargs):
+        runs.append(solvers.fgm_solve(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(pipeline, "fgm_solve", main_run)
+    seen = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: seen.append(M.copy()) or eigh(M))
+    sol = an_fgm_solve(X, B)
+    assert sol.gap <= solvers.GAP_TOL
+    S = sym_part(runs[0].best_A)
+    assert sum(np.array_equal(M, S) for M in seen) == 1
+
+
+def test_ill_conditioned_bound_is_a_usable_interval():
+    # far from the optimum the kernel multiplier overshoots; at its best
+    # scale the bound still brackets the infimum well below the estimate
+    X, B = gen(InstanceSpec("ill_conditioned", 30, 30, 2, kappa_target=1e6))
+    sol = an_fgm_solve(X, B, SolverConfig(max_iter=400))
+    ref = an_fgm_solve(X, B, SolverConfig(max_iter=10000))
+    assert sol.gap < 0.5
+    assert sol.lower_bound <= ref.infimum < sol.infimum
 
 
 @pytest.mark.parametrize("max_iter", [1, 49, 50, 120, 1000])

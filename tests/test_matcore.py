@@ -5,6 +5,7 @@ import pytest
 
 from psdp import (
     DimensionError,
+    NumericError,
     ParameterError,
     eigh_sorted,
     fro_norm,
@@ -131,7 +132,7 @@ def test_block_psd_characterization():
         S = rng.standard_normal((3, 3))
         D = C @ pinv_psd(Bblk) @ C.T + S @ S.T
         M = np.block([[Bblk, C.T], [C, D]])
-        assert is_psd(M, tol=1e-8)
+        assert is_psd(M)
         Dbad = C @ pinv_psd(Bblk) @ C.T - 0.05 * np.eye(3)
         Mbad = np.block([[Bblk, C.T], [C, Dbad]])
         assert np.linalg.eigvalsh(sym_part(Mbad)).min() < -1e-6
@@ -159,25 +160,36 @@ def test_svd_reconstruction_random_rect():
     for shape in [(5, 3), (3, 5), (4, 4)]:
         M = rng.standard_normal(shape) * 3
         U, S, V = svd(M)
-        n, m = shape
-        Sig = np.zeros(shape)
-        Sig[: min(n, m), : min(n, m)] = np.diag(S)
-        assert np.linalg.norm(U @ Sig @ V.T - M) <= 1e-10 * max(1.0, fro_norm(M))
-        assert np.allclose(U @ U.T, np.eye(n), atol=1e-10)
-        assert np.allclose(V @ V.T, np.eye(m), atol=1e-10)
+        k = min(shape)
+        assert np.linalg.norm(U @ np.diag(S) @ V.T - M) <= 1e-12 * fro_norm(M)
+        assert np.allclose(U.T @ U, np.eye(k), atol=1e-12)
+        assert np.allclose(V.T @ V, np.eye(k), atol=1e-12)
         assert (np.diff(S) <= 0).all() and (S >= 0).all()
 
 
 def test_svd_thin_factors():
+    # the factors are thin: U is n-by-k and V m-by-k, k = min(n, m)
     rng = np.random.default_rng(44)
     for shape in [(5, 3), (3, 5)]:
         M = rng.standard_normal(shape)
-        U, S, V = svd(M, full_matrices=False)
+        U, S, V = svd(M)
         k = min(shape)
         assert U.shape == (shape[0], k) and V.shape == (shape[1], k)
         assert np.linalg.norm((U * S) @ V.T - M) <= 1e-12 * fro_norm(M)
         assert np.allclose(U.T @ U, np.eye(k), atol=1e-12)
         assert np.allclose(V.T @ V, np.eye(k), atol=1e-12)
+
+
+@pytest.mark.parametrize("name, factor", [
+    ("eigh", eigh_sorted), ("eigh", psd_project), ("svd", svd),
+])
+def test_lapack_failure_raises_numeric_error(name, factor, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, name, fail)
+    with pytest.raises(NumericError, match="did not converge"):
+        factor(np.eye(3))
 
 
 def test_pinv_psd_diagonal():

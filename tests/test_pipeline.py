@@ -14,6 +14,7 @@ from psdp import (
     reduce_problem,
     solve,
 )
+from psdp import pipeline
 from psdp.bench import InstanceSpec, gen
 
 
@@ -94,6 +95,35 @@ def test_negative_case_shortcut_matches_general_path():
         shortcut = an_fgm_solve(X, B, eps=1e-6)
         assert shortcut.attained is False
         assert shortcut.infimum == pytest.approx(closed.infimum, rel=1e-12)
+
+
+def _rank1(rng):
+    return np.outer(rng.standard_normal(6), rng.standard_normal(5)), rng.standard_normal((6, 5))
+
+
+def _negative(rng):
+    X = _rank1(rng)[0] + _rank1(rng)[0]
+    U = np.linalg.svd(X)[0]
+    return X, -X + U[:, 2:] @ rng.standard_normal((4, 5))
+
+
+def _zero(rng):
+    return np.zeros((6, 5)), rng.standard_normal((6, 5))
+
+
+@pytest.mark.parametrize("make", [_rank1, _negative, _zero])
+def test_exact_routes_report_a_zero_gap(make, monkeypatch):
+    # rank-one X, the negative case and X = 0 never reach the iteration;
+    # their infimum is exact, so the interval closes
+    def no_iteration(*args, **kwargs):
+        raise AssertionError("the iterative route was taken")
+
+    monkeypatch.setattr(pipeline, "fgm_solve", no_iteration)
+    rng = np.random.default_rng(17)
+    for _ in range(4):
+        sol = an_fgm_solve(*make(rng))
+        assert sol.lower_bound == sol.infimum
+        assert sol.gap == 0.0
 
 
 def test_degenerate_x_returns_zero_solution():

@@ -23,7 +23,7 @@ from psdp import (
     rank1_solve,
     reduce_problem,
 )
-from psdp.reduction import negative_condition, subproblem_residual
+from psdp.reduction import dual_bound, negative_condition, subproblem_residual
 
 
 def rank_deficient_instance(rng, n, m, r):
@@ -268,15 +268,19 @@ def test_one_eigendecomposition_from_subproblem_to_assembly(monkeypatch):
     P = np.eye(3) - np.outer(k, k)
     S = rng.standard_normal((3, 3))
     A11hat = P @ (S @ S.T + np.eye(3)) @ P
+    S = (A11hat + A11hat.T) / 2.0
     calls = []
     eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(1) or eigh(M))
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(np.array_equal(M, S)) or eigh(M))
     sub = make_subproblem_solution(A11hat, red)
     assert sub.rank_s == 2
     assert kernel_contained(sub, red)
     assemble_optimal(red, sub)
     assemble_epsilon(red, sub, 0.5 * min(1.0, sub.residual**2))
     assert len(calls) == 1
+    # the bound factors its kernel compression only, not A11hat again
+    dual_bound(red, sub)
+    assert sum(calls) == 1
 
 
 def test_assemble_epsilon_frozen_tiny_case():
