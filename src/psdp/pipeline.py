@@ -10,7 +10,12 @@ back in original coordinates, exactly when the infimum is attained and
 to any admissible eps when it is not.  Iterating on the reduced
 problem costs O(r^3) per iteration instead of O(n^3) and always enjoys
 a positive strong-convexity modulus, so the method is both cheaper per
-step and linearly convergent.
+step and linearly convergent.  The reduced run iterates on the congruent
+variable Sigma1^{1/2} A11 Sigma1^{1/2} (``fgm_solve(..., precondition=True)``),
+which lowers the condition number of the subproblem from kappa^2 to about
+kappa / 2, kappa = sigma_1 / sigma_r: O(sqrt(kappa)) iterations instead
+of O(kappa).  The recursive initialization keeps the plain loop on its
+blocks, which it splits to condition numbers of at most 100.
 
 ``solve`` is the user-facing dispatcher over the four methods and four
 initializations.
@@ -18,7 +23,7 @@ initializations.
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateProblemError
+from .errors import ConfigurationError, DegenerateProblemError, NotAttainedError
 from .initializers import init_diagonal, init_recursive, init_unconstrained, init_zero
 from .matcore import as_matrix, fro_norm
 from .reduction import (
@@ -27,13 +32,13 @@ from .reduction import (
     default_epsilon,
     factor_and_bound,
     infimum_value,
-    kernel_contained,
     negative_case_solution,
     rank1_solve,
     reduce_problem,
     relative_gap,
 )
-from .reduction import make_subproblem_solution  # noqa: F401  (perfbench's tracer wraps this name)
+# perfbench's tracer wraps these names here
+from .reduction import kernel_contained, make_subproblem_solution  # noqa: F401
 from .solution import IterateTrace, PsdpSolution
 from .solvers import SolverConfig, fgm_solve, gradient_solve, partan_solve
 
@@ -117,14 +122,14 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
         checked[:] = factor_and_bound(red, A11)
         return relative_gap(f + red.offset, checked[1])
 
-    sub_run = fgm_solve(Xsub, red.B11, A0, cfg, certificate=certificate)
+    sub_run = fgm_solve(Xsub, red.B11, A0, cfg, certificate=certificate, precondition=True)
     sub, bound = checked
     if sub is None or not np.array_equal(sub.A11hat, sub_run.best_A):
         sub, bound = factor_and_bound(red, sub_run.best_A)
 
-    if kernel_contained(sub, red):
+    try:
         out = assemble_optimal(red, sub)
-    else:
+    except NotAttainedError:
         if eps is None:
             eps = default_epsilon(infimum_value(red, sub), sub.residual)
         out = assemble_epsilon(red, sub, eps)

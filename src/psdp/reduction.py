@@ -401,10 +401,10 @@ def negative_case_solution(red, X=None, B=None, eps=None):
     if red.r == red.n:
         raise InapplicableError("closed form requires rank(X) < n")
     w = np.linalg.eigvalsh(negative_condition(red))
-    scale = max(1.0, float(abs(w[0])), float(abs(w[-1])))
-    if float(w[-1]) > KERNEL_TOL * scale:
-        return None
     b_norm = float(np.linalg.norm(red.B11, "fro"))
+    # |B11 Sigma1 + Sigma1 B11.T|_2 <= 2 sigma1[0] |B11|_F: a scale set by the data
+    if float(w[-1]) > KERNEL_TOL * float(red.sigma1[0]) * b_norm:
+        return None
     infimum = b_norm**2 + red.offset
     if eps is None:
         eps = default_epsilon(infimum, b_norm)

@@ -30,6 +30,18 @@ stop rules:
   from iteration GAP_EVERY on, the relative gap it reports for the best
   iterate is compared with GAP_TOL, and the run stops once it is at or
   below.  A run that never certifies is unchanged by the check.
+
+The reduced run of ``an_fgm_solve`` (``fgm_solve(..., precondition=True)``,
+X = Sigma diagonal positive) iterates on Ahat = Sigma^{1/2} A Sigma^{1/2}.
+The congruence keeps the PSD cone, so a step is still one projection, and
+turns the halved objective into sum_ij W_ij (Ahat_ij - That_ij)^2 / 2 with
+W_ij = (sigma_i / sigma_j + sigma_j / sigma_i) / 2 in [1, (kappa + 1/kappa) / 2],
+kappa = sigma_max / sigma_min.  The condition number falls from kappa^2 to
+about kappa / 2, so momentum needs O(sqrt(kappa)) iterations, not O(kappa),
+and gradient and objective are entrywise.  The certificate and the result
+see A = Sigma^{-1/2} Ahat Sigma^{-1/2}.  ``init_recursive``'s blocks keep
+the plain loop: their condition numbers are at most 100, and they are the
+paper's initializer, whose values are pinned.
 """
 
 import itertools
@@ -38,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, InapplicableError, ParameterError
 from .matcore import as_matrix, psd_project
 from .solution import IterateTrace, PsdpSolution
 
@@ -116,23 +128,11 @@ def _check_init(A0, n):
     return A0
 
 
-def _solve(rule, X, B, A0, cfg, certificate=None):
-    """Run the step rule ``rule`` from A0 and collect the result.
-
-    ``rule(A, val, **oracle)`` is a generator yielding the successive
-    iterates with their residual norms; it reads what it needs from the
-    keywords step, objective, XXt, BXt, q and alpha1.  The loop owns
-    everything else: the trace, the best iterate and the stop rules.
-    ``certificate(A, f)``, when given, returns a certified relative gap
-    for the iterate A with objective f = |A X - B|_F^2; it is called on
-    the best iterate every GAP_EVERY iterations.  When L = 0 (X is zero)
-    no step is taken and A0 is returned.
-    """
-    cfg = cfg or SolverConfig()
+def _oracle(X, B):
+    """The plain oracle of |A X - B|_F: steps and objective on A itself."""
     XXt, BXt, L, q = precompute(X, B)
     X = np.asarray(X, dtype=float)
     B = np.asarray(B, dtype=float)
-    A = _check_init(A0, X.shape[0])
 
     def step(Y):
         return psd_project(Y - gradient(Y, XXt, BXt) / L)
@@ -140,12 +140,81 @@ def _solve(rule, X, B, A0, cfg, certificate=None):
     def objective(M):
         return float(np.linalg.norm(M @ X - B, "fro"))
 
+    return dict(
+        step=step, objective=objective, XXt=XXt, BXt=BXt, q=q, L=L, n=X.shape[0], scale=None
+    )
+
+
+def _congruent_oracle(X, C):
+    """The oracle of |A Sigma - C|_F on Ahat = S A S, S = Sigma^{1/2} (module docstring).
+
+    X must be diagonal with a positive diagonal sigma.  Entrywise,
+    Ahat = A * scale with scale_ij = sqrt(sigma_i sigma_j).  The step is
+    Ahat' = proj(Y - W * (Y - That) / L) with L = max W, q = 1 / L and
+    That = (C Sigma + Sigma C.T) / (2 W scale), the minimizer over
+    symmetric matrices.  The objective is |Ahat * R - C|_F with
+    R_ij = sqrt(sigma_j / sigma_i), since (A Sigma)_ij = Ahat_ij sigma_j / scale_ij.
+    """
+    X = as_matrix(X, "X")
+    C = as_matrix(C, "B")
+    sigma = np.diagonal(X)
+    if X.shape != C.shape or X.shape[0] != X.shape[1]:
+        raise DimensionError(
+            "X and B must be square of equal order, got %s and %s" % (X.shape, C.shape)
+        )
+    if np.count_nonzero(X) != np.count_nonzero(sigma) or not (sigma > 0).all():
+        raise InapplicableError("the preconditioned run requires a positive diagonal X")
+    s = np.sqrt(sigma)
+    scale = np.outer(s, s)
+    ratio = sigma[:, None] / sigma[None, :]
+    W = (ratio + ratio.T) / 2.0
+    L = float(W.max())
+    CS = C * sigma
+    That = (CS + CS.T) / (2.0 * W * scale)
+    WL = W / L
+    R = np.sqrt(ratio.T)
+
+    def step(Y):
+        return psd_project(Y - WL * (Y - That))
+
+    def objective(M):
+        return float(np.linalg.norm(M * R - C, "fro"))
+
+    return dict(step=step, objective=objective, q=1.0 / L, L=L, n=X.shape[0], scale=scale)
+
+
+def _solve(rule, oracle, A0, cfg, certificate=None):
+    """Run the step rule ``rule`` from A0 and collect the result.
+
+    ``rule(A, val, **oracle)`` is a generator yielding the successive
+    iterates with their residual norms; it reads what it needs from the
+    keywords step, objective, XXt, BXt, q and alpha1.  The loop owns
+    everything else: the trace, the best iterate and the stop rules.
+    When the oracle iterates on Ahat = A * scale (its scale is not
+    None), A0 is mapped to Ahat first and every iterate the loop hands
+    out, to the certificate or in the result, is mapped back to
+    A = Ahat / scale.
+    ``certificate(A, f)``, when given, returns a certified relative gap
+    for the iterate A with objective f = |A X - B|_F^2; it is called on
+    the best iterate every GAP_EVERY iterations.  When L = 0 (X is zero)
+    no step is taken and A0 is returned.
+    """
+    cfg = cfg or SolverConfig()
+    scale = oracle["scale"]
+    A = _check_init(A0, oracle["n"])
+    if scale is not None:
+        A = A * scale
+
+    def unscale(M):
+        return M if scale is None or M is None else M / scale
+
     t0 = time.perf_counter()
     trace = IterateTrace() if cfg.record_trace else None
     best_val, best_A, best_hist = np.inf, None, []
+    objective = oracle["objective"]
     val = objective(A)
-    steps = rule(A, val, step=step, objective=objective, XXt=XXt, BXt=BXt, q=q, alpha1=cfg.alpha1)
-    steps = itertools.islice(steps, cfg.max_iter if L > 0.0 else 0)
+    steps = rule(A, val, alpha1=cfg.alpha1, **oracle)
+    steps = itertools.islice(steps, cfg.max_iter if oracle["L"] > 0.0 else 0)
     for k, (A, val) in enumerate(itertools.chain([(A, val)], steps)):
         if trace is not None:
             trace.objectives.append(val)
@@ -161,13 +230,13 @@ def _solve(rule, X, B, A0, cfg, certificate=None):
             if best_hist[-11] - best_val <= cfg.objective_tol * max(1.0, best_val):
                 break
         if certificate is not None and k % GAP_EVERY == 0:
-            if certificate(best_A, best_val**2) <= GAP_TOL:
+            if certificate(unscale(best_A), best_val**2) <= GAP_TOL:
                 break
     return PsdpSolution(
-        A=A,
+        A=unscale(A),
         objective=val**2,
         trace=trace,
-        best_A=best_A,
+        best_A=unscale(best_A),
         best_objective=best_val**2 if best_A is not None else None,
     )
 
@@ -229,18 +298,21 @@ def _partan(A, val, step, objective, XXt, BXt, **_):
 
 def gradient_solve(X, B, A0, cfg=None):
     """Projected gradient descent from the PSD initialization A0."""
-    return _solve(_plain, X, B, A0, cfg)
+    return _solve(_plain, _oracle(X, B), A0, cfg)
 
 
-def fgm_solve(X, B, A0, cfg=None, certificate=None):
+def fgm_solve(X, B, A0, cfg=None, certificate=None, *, precondition=False):
     """Fast gradient method from the PSD initialization A0.
 
     ``certificate``, when given, turns on the certified-gap stop rule
-    (see ``_solve``).
+    (see ``_solve``).  ``precondition=True`` requires a positive
+    diagonal X and iterates on the congruent variable (module
+    docstring); A0, the certificate's iterates and the result stay in A.
     """
-    return _solve(_momentum, X, B, A0, cfg, certificate)
+    oracle = _congruent_oracle(X, B) if precondition else _oracle(X, B)
+    return _solve(_momentum, oracle, A0, cfg, certificate)
 
 
 def partan_solve(X, B, A0, cfg=None):
     """Projected gradient with PARTAN acceleration from the PSD initialization A0."""
-    return _solve(_partan, X, B, A0, cfg)
+    return _solve(_partan, _oracle(X, B), A0, cfg)

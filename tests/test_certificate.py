@@ -79,7 +79,7 @@ def test_ill_conditioned_run_never_certifies_and_is_unchanged(monkeypatch):
     assert sol.gap > solvers.GAP_TOL
     monkeypatch.setattr(
         pipeline, "fgm_solve",
-        lambda X, B, A0, cfg, certificate=None: solvers.fgm_solve(X, B, A0, cfg),
+        lambda X, B, A0, cfg, certificate=None, **kw: solvers.fgm_solve(X, B, A0, cfg, **kw),
     )
     plain = an_fgm_solve(X, B, cfg)
     assert np.array_equal(sol.A, plain.A)
@@ -135,3 +135,29 @@ def test_certificate_checked_every_gap_every_iterations(max_iter):
     assert checked.trace.objectives == plain.trace.objectives
     # the certificate sees the best iterate's squared objective
     assert all(f >= plain.best_objective for f in calls)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_preconditioned_run_certifies_at_condition_number_1e4(seed):
+    # the plain loop does not certify this instance in 20000 iterations
+    X, B = gen(InstanceSpec("ill_conditioned", 40, 40, seed, kappa_target=1e4))
+    sol = an_fgm_solve(X, B, SolverConfig(max_iter=2000))
+    assert sol.gap <= solvers.GAP_TOL
+    assert len(sol.trace) <= 2001
+
+
+# the benchmark's ill pool at seed 0, items 0-2 (60x60, kappa 1e6): the
+# 1000-iteration objective of the plain loop, and the infimum of a
+# 20000-iteration preconditioned run, certified to a gap below 1e-12
+ILL_PLAIN_1000 = (2341.864751563287, 2392.9391799108307, 2343.594492624171)
+ILL_INFIMUM = (2058.4505357433295, 2080.7254427718813, 2061.2093057754464)
+
+
+@pytest.mark.parametrize("key", [0, 1, 2])
+def test_ill_pool_objective_falls_and_the_bound_holds(key):
+    X, B = gen(InstanceSpec("ill_conditioned", 60, 60, key, kappa_target=1e6))
+    sol = an_fgm_solve(X, B)
+    assert len(sol.trace) == 1001
+    assert sol.objective < ILL_PLAIN_1000[key]
+    assert sol.lower_bound <= ILL_INFIMUM[key] <= sol.objective
+    assert sol.gap < 0.05

@@ -23,6 +23,8 @@ from psdp import (
     rank1_solve,
     reduce_problem,
 )
+from psdp import reduction
+from psdp.bench import InstanceSpec, gen
 from psdp.reduction import dual_bound, negative_condition, subproblem_residual
 
 
@@ -415,6 +417,36 @@ def test_negative_case_validates_eps():
     red = reduce_problem(X, B)
     with pytest.raises(ParameterError):
         negative_case_solution(red, X, B, eps=2.0)  # above min(1, |B11|^2)
+
+
+@pytest.mark.parametrize("c", [1e-5, 1e-100])
+def test_negative_case_test_is_scale_free(c):
+    # scaling X and B by c scales the condition by c^2, so the route must
+    # not change; the closed form's zero gap would be false here (its
+    # infimum / c^2 is 426.87, the true value 387.66)
+    X, B = gen(InstanceSpec("rank_deficient", 30, 20, 0))
+    assert negative_case_solution(reduce_problem(X, B)) is None
+    assert negative_case_solution(reduce_problem(c * X, c * B)) is None
+    ref = an_fgm_solve(X, B)
+    sol = an_fgm_solve(c * X, c * B)
+    assert len(sol.trace) == len(ref.trace) > 1
+    assert sol.lower_bound <= c**2 * ref.infimum * (1.0 + 1e-12)
+
+
+def test_attained_solve_tests_the_kernel_once(monkeypatch):
+    # B = A* X with A* positive definite and rank(X) = 4 < 7: the
+    # infimum 0 is attained, and the attainment test runs once
+    rng = np.random.default_rng(61)
+    X, _ = rank_deficient_instance(rng, 7, 5, 4)
+    G = rng.standard_normal((7, 7))
+    B = (G @ G.T + np.eye(7)) @ X
+    calls = []
+    excess = reduction._kernel_excess
+    monkeypatch.setattr(reduction, "_kernel_excess", lambda C, N: calls.append(1) or excess(C, N))
+    sol = an_fgm_solve(X, B)
+    assert reduce_problem(X, B).r == 4
+    assert sol.attained
+    assert len(calls) == 1
 
 
 def test_rank1_requires_rank_one():

@@ -8,6 +8,7 @@ import pytest
 
 from psdp import (
     DimensionError,
+    InapplicableError,
     ParameterError,
     SolverConfig,
     fgm_solve,
@@ -15,6 +16,7 @@ from psdp import (
     gradient,
     gradient_solve,
     init_diagonal,
+    init_recursive,
     partan_solve,
     precompute,
     psd_project,
@@ -300,3 +302,45 @@ def test_precompute_rectangular_diagonal():
     assert L == 16.0 and q == 0.0
     _, _, L, q = precompute(X.T, X.T)
     assert L == 16.0 and q == (1.0 / 4.0) ** 2
+
+
+def test_plain_loop_on_a_diagonal_x_is_bitwise_unchanged():
+    # the recursive initializer's blocks and the full-space fgm keep the
+    # plain loop: its output on a diagonal X, recorded before the
+    # preconditioned loop existed, is reproduced exactly
+    ref = json.loads((Path(__file__).parent / "data" / "plain_loop_diagonal_12x12.json").read_text())
+    rng = np.random.Generator(np.random.Philox(key=606))
+    sigma = np.geomspace(1e4, 1.0, 12)
+    B = rng.standard_normal((12, 12))
+    assert init_recursive(sigma, B).tolist() == ref["init_recursive"]
+    X = np.diag(sigma)
+    sol = fgm_solve(X, B, init_diagonal(X, B), SolverConfig(max_iter=60))
+    assert sol.trace.objectives == ref["fgm"]["objectives"]
+    assert sol.A.tolist() == ref["fgm"]["A"]
+
+
+def test_preconditioned_run_reaches_the_plain_optimum_in_a():
+    # both loops minimize |A Sigma - C|_F over PSD A; the preconditioned
+    # one hands back A (not Ahat), with the objective of that A
+    rng = np.random.default_rng(607)
+    sigma = np.geomspace(30.0, 1.0, 8)
+    X = np.diag(sigma)
+    B = rng.standard_normal((8, 8))
+    A0 = init_diagonal(X, B)
+    cfg = SolverConfig(max_iter=3000)
+    plain = fgm_solve(X, B, A0, cfg)
+    pre = fgm_solve(X, B, A0, cfg, precondition=True)
+    assert pre.trace.objectives[0] == pytest.approx(plain.trace.objectives[0], rel=1e-14)
+    assert pre.best_objective == pytest.approx(plain.best_objective, rel=1e-12)
+    assert np.allclose(pre.best_A, plain.best_A, atol=1e-8)
+    assert pre.objective == pytest.approx(fro_norm(pre.A @ X - B) ** 2, rel=1e-12)
+    assert np.linalg.eigvalsh(pre.best_A)[0] >= -1e-12
+
+
+def test_preconditioned_run_needs_a_positive_diagonal():
+    B = np.ones((3, 3))
+    for X in (np.ones((3, 3)), np.diag([1.0, 0.0, 2.0]), np.diag([1.0, -1.0, 2.0])):
+        with pytest.raises(InapplicableError):
+            fgm_solve(X, B, np.zeros((3, 3)), precondition=True)
+    with pytest.raises(DimensionError):
+        fgm_solve(np.eye(3), np.ones((3, 4)), np.zeros((3, 3)), precondition=True)
