@@ -17,27 +17,23 @@ regardless of platform or execution order.  Families:
 ``run_init_experiment`` compares the four initializations on the
 ladder instance; ``run_solver_experiment`` races the four solvers on
 one family/shape panel.  Both write CSV summaries and return an
-ExperimentReport.  Trials run serially unless the PSDP_THREADS
-environment variable asks for a process pool.
+ExperimentReport.
 """
 
 import csv
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
-from .initializers import init_diagonal
-from .pipeline import INITIALIZERS, an_fgm_solve
-from .solvers import SolverConfig, fgm_solve, gradient_solve, partan_solve
+from .pipeline import INITIALIZERS, METHODS, solve
+from .solvers import SolverConfig, fgm_solve
 
 FAMILIES = ("gaussian", "uniform", "ill_conditioned", "rank_deficient", "init_experiment")
 SUITES = ("well", "ill", "rankdef")
 SHAPES = ("square", "wide", "tall")
-SOLVER_METHODS = ("gradient", "fgm", "partan", "an-fgm")
 
 # 1..10, 20..100 step 10, 200..1000 step 100, 2000..10000 step 1000
 LADDER = np.concatenate(
@@ -140,19 +136,18 @@ def _pad(values, length):
     return out
 
 
-def _pool_size():
-    try:
-        return max(1, int(os.environ.get("PSDP_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_trials(fn, args):
-    workers = _pool_size()
-    if workers == 1:
-        return [fn(a) for a in args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args))
+def _report(results, trials, iters, col):
+    """Aggregate per-trial {method: (curve, seconds)} dicts; the summary
+    is the mean and std over trials of column ``col`` of the curves."""
+    report = ExperimentReport(trials=trials, iters=iters)
+    for name in results[0]:
+        curves = np.vstack([res[name][0] for res in results])
+        report.traces[name] = curves
+        report.mean_curves[name] = curves.mean(axis=0)
+        report.wall_clock[name] = float(np.mean([res[name][1] for res in results]))
+        picked = curves[:, col]
+        report.summary[name] = (float(picked.mean()), float(picked.std(ddof=1) if trials > 1 else 0.0))
+    return report
 
 
 def _write_csv(path, columns, rows):
@@ -166,11 +161,9 @@ def _write_csv(path, columns, rows):
 # initialization experiment
 
 
-def _init_trial(args):
-    b_dist, seed, iters, alpha1 = args
-    spec = InstanceSpec("init_experiment", 37, 37, seed, b_dist=b_dist)
-    X, B = gen(spec)
-    cfg = SolverConfig(max_iter=max(iters, 1), alpha1=alpha1)
+def _init_trial(b_dist, seed, iters):
+    X, B = gen(InstanceSpec("init_experiment", 37, 37, seed, b_dist=b_dist))
+    cfg = SolverConfig(max_iter=max(iters, 1))
     out = {}
     for name, initialize in INITIALIZERS.items():
         A0 = initialize(X, B, cfg)
@@ -184,7 +177,7 @@ def _init_trial(args):
     return out
 
 
-def run_init_experiment(trials, iters, out_dir=None, seed0=2024, alpha1=0.1):
+def run_init_experiment(trials, iters, out_dir=None, seed0=2024):
     """Compare the four initializations on the diagonal-ladder instance.
 
     For each of the Gaussian and uniform B families, draws ``trials``
@@ -202,18 +195,9 @@ def run_init_experiment(trials, iters, out_dir=None, seed0=2024, alpha1=0.1):
     summary_rows = []
     trace_rows = []
     for b_dist in ("gaussian", "uniform"):
-        results = _map_trials(
-            _init_trial, [(b_dist, seed0 + t, iters, alpha1) for t in range(trials)]
-        )
-        report = ExperimentReport(trials=trials, iters=iters)
+        results = [_init_trial(b_dist, seed0 + t, iters) for t in range(trials)]
+        report = _report(results, trials, iters, 0)
         for name in INITIALIZERS:
-            curves = np.vstack([res[name][0] for res in results])
-            secs = [res[name][1] for res in results]
-            report.traces[name] = curves
-            report.mean_curves[name] = curves.mean(axis=0)
-            report.wall_clock[name] = float(np.mean(secs))
-            initial = curves[:, 0]
-            report.summary[name] = (float(initial.mean()), float(initial.std(ddof=1) if trials > 1 else 0.0))
             summary_rows.append([b_dist, name, report.summary[name][0], report.summary[name][1]])
             for it, val in enumerate(report.mean_curves[name]):
                 trace_rows.append([b_dist, name, it, val])
@@ -239,27 +223,20 @@ def _panel_dims(shape, size):
 _SUITE_FAMILY = {"well": "gaussian", "ill": "ill_conditioned", "rankdef": "rank_deficient"}
 
 
-def _solver_trial(args):
-    family, n, m, seed, iters, alpha1 = args
-    spec = InstanceSpec(family, n, m, seed)
-    X, B = gen(spec)
+def _solver_trial(family, n, m, seed, iters):
+    X, B = gen(InstanceSpec(family, n, m, seed))
     b_norm = float(np.linalg.norm(B, "fro"))
-    cfg = SolverConfig(max_iter=iters, alpha1=alpha1)
+    cfg = SolverConfig(max_iter=iters)
     out = {}
-    A0 = init_diagonal(X, B)
-    for name, runner in (("gradient", gradient_solve), ("fgm", fgm_solve), ("partan", partan_solve)):
+    for name in METHODS:
         t0 = time.perf_counter()
-        run = runner(X, B, A0, cfg)
+        run = solve(X, B, method=name, cfg=cfg)
         secs = time.perf_counter() - t0
         out[name] = (100.0 * _pad(run.trace.objectives, iters + 1) / b_norm, secs)
-    t0 = time.perf_counter()
-    run = an_fgm_solve(X, B, cfg)
-    secs = time.perf_counter() - t0
-    out["an-fgm"] = (100.0 * _pad(run.trace.objectives, iters + 1) / b_norm, secs)
     return out
 
 
-def run_solver_experiment(suite, shape, trials, iters, size=100, out_dir=None, seed0=7, alpha1=0.1):
+def run_solver_experiment(suite, shape, trials, iters, size=100, out_dir=None, seed0=7):
     """Race the four solvers on one (suite, shape) panel.
 
     suite is one of "well", "ill", "rankdef" and shape one of "square",
@@ -267,7 +244,9 @@ def run_solver_experiment(suite, shape, trials, iters, size=100, out_dir=None, s
     dimension.  Every trial draws a fresh seeded instance shared by all
     methods; the three full-space methods start from the diagonal
     initialization and the semi-analytical route uses its recursive
-    one.  Errors are relative, 100 |A X - B|_F / |B|_F.
+    one (``pipeline.solve``'s defaults).  Errors are relative,
+    100 |A X - B|_F / |B|_F, and each method's timing includes its
+    initialization.
 
     Writes trace.csv (per-iteration mean relative error per method),
     summary.csv (mean and std of the final relative error) and
@@ -280,22 +259,13 @@ def run_solver_experiment(suite, shape, trials, iters, size=100, out_dir=None, s
         raise ParameterError("trials and iters must be positive")
     n, m = _panel_dims(shape, size)
     family = _SUITE_FAMILY[suite]
-    results = _map_trials(
-        _solver_trial, [(family, n, m, seed0 + t, iters, alpha1) for t in range(trials)]
-    )
-    report = ExperimentReport(trials=trials, iters=iters)
+    results = [_solver_trial(family, n, m, seed0 + t, iters) for t in range(trials)]
+    report = _report(results, trials, iters, -1)
     label = "%s-%s" % (suite, shape)
     summary_rows = []
     trace_rows = []
     timing_rows = []
-    for name in SOLVER_METHODS:
-        curves = np.vstack([res[name][0] for res in results])
-        secs = [res[name][1] for res in results]
-        report.traces[name] = curves
-        report.mean_curves[name] = curves.mean(axis=0)
-        report.wall_clock[name] = float(np.mean(secs))
-        final = curves[:, -1]
-        report.summary[name] = (float(final.mean()), float(final.std(ddof=1) if trials > 1 else 0.0))
+    for name in METHODS:
         summary_rows.append([label, name, report.summary[name][0], report.summary[name][1]])
         timing_rows.append([name, report.wall_clock[name] * 1000.0 / iters])
         for it, val in enumerate(report.mean_curves[name]):

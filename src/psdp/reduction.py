@@ -258,8 +258,8 @@ def dual_bound(red, sub):
     Lam, gain = 0.0, 0.0
     if K.shape[1]:
         Lam = K @ psd_project(K.T @ (sym_part(sub.A11hat) * denom - M) @ K) @ K.T
-        a = float(np.sum(Lam * M / denom))
-        b = float(np.sum(Lam * Lam / denom))
+        a = float(np.sum(Lam * (M / denom)))
+        b = float(np.sum(Lam * (Lam / denom)))
         t = max(0.0, -a / b) if b > 0.0 else 1.0
         gain = (1.0 - t) * (a + (1.0 + t) * b / 2.0)
     A_lam = (M + Lam) / denom
@@ -390,9 +390,11 @@ def negative_case_solution(red, X=None, B=None, eps=None):
     """Closed form when U1.T (B X.T + X B.T) U1 is negative semidefinite.
 
     Requires r < n; r = n raises InapplicableError.  When the condition
-    holds the subproblem minimizer is A11 = 0, the infimum equals
-    |U1.T B V1|^2 + |B V2|^2 and is never attained; the returned A_eps
-    uses the leading block (eps / alpha) I with
+    holds the subproblem minimizer is A11 = 0 and the infimum equals
+    |U1.T B V1|^2 + |B V2|^2.  The route always returns an eps-solution
+    with attained=False, which is exact only when Z != 0: when Z = 0
+    (B = -X, say) A = 0 attains the infimum, as the iterative route
+    reports.  A_eps uses the leading block (eps / alpha) I with
     alpha = 4 sqrt(n) |sigma1| |U1.T B V1|_F (the norm factor dropped
     when it vanishes); lower_bound = infimum, gap 0.  Returns None when
     the condition fails.  The condition is formed from ``red`` alone

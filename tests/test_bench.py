@@ -2,10 +2,13 @@
 
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import psdp
 from psdp import InstanceSpec, ParameterError, gen, run_init_experiment, run_solver_experiment
 from psdp.bench import LADDER
 
@@ -155,9 +158,19 @@ def test_run_solver_experiment_shapes():
         run_solver_experiment("soso", "square", trials=1, iters=10, size=20)
 
 
-def test_run_solver_experiment_deterministic_across_workers(monkeypatch):
+def test_run_solver_experiment_deterministic():
     rep1 = run_solver_experiment("rankdef", "square", trials=2, iters=20, size=16, seed0=9)
-    monkeypatch.setenv("PSDP_THREADS", "2")
     rep2 = run_solver_experiment("rankdef", "square", trials=2, iters=20, size=16, seed0=9)
     for name in rep1.mean_curves:
         assert np.array_equal(rep1.mean_curves[name], rep2.mean_curves[name])
+
+
+def test_import_loads_no_process_pool():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(psdp.__file__)))
+    code = (
+        "import sys, psdp; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 """The certified lower bound of the reduced problem and the gap stop rule."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,19 @@ def test_rank_deficient_run_stops_at_the_first_check():
     full = fgm_solve(Xsub, red.B11, init_recursive(Xsub, red.B11), SolverConfig(max_iter=1000))
     assert len(full.trace) == 1001
     assert sol.infimum == pytest.approx(full.best_objective + red.offset, rel=1e-12)
+
+
+def test_bound_holds_on_data_scaled_by_1e100():
+    # Lam * M alone is of order c^4 = 1e400, past the float range
+    X, B = gen(InstanceSpec("rank_deficient", 30, 20, 0))
+    ref = an_fgm_solve(X, B)
+    c = 1e100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = an_fgm_solve(c * X, c * B)
+    assert len(sol.trace) == len(ref.trace) == solvers.GAP_EVERY + 1
+    assert sol.gap <= solvers.GAP_TOL
+    assert sol.lower_bound / c**2 == pytest.approx(ref.lower_bound, rel=1e-12)
 
 
 def test_ill_conditioned_run_never_certifies_and_is_unchanged(monkeypatch):
