@@ -163,13 +163,12 @@ def _write_csv(path, columns, rows):
 
 def _init_trial(b_dist, seed, iters):
     X, B = gen(InstanceSpec("init_experiment", 37, 37, seed, b_dist=b_dist))
-    cfg = SolverConfig(max_iter=max(iters, 1))
     out = {}
     for name, initialize in INITIALIZERS.items():
-        A0 = initialize(X, B, cfg)
+        A0 = initialize(X, B)
         t0 = time.perf_counter()
         if iters > 0:
-            run = fgm_solve(X, B, A0, cfg)
+            run = fgm_solve(X, B, A0, SolverConfig(max_iter=iters))
             curve = _pad(run.trace.objectives, iters + 1)
         else:
             curve = np.array([float(np.linalg.norm(A0 @ X - B, "fro"))])

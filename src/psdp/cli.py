@@ -27,7 +27,7 @@ from .errors import (
     NumericError,
     ParameterError,
 )
-from .pipeline import INITS, METHODS, solve
+from .pipeline import INITIALIZERS, METHODS, solve
 from .solvers import SolverConfig
 
 _CONFIG_ERRORS = (
@@ -57,9 +57,8 @@ def build_parser():
     p_solve.add_argument("X", help="path to the data matrix X")
     p_solve.add_argument("B", help="path to the target matrix B")
     p_solve.add_argument("--method", default="an-fgm", choices=METHODS)
-    p_solve.add_argument("--init", default=None, choices=INITS)
+    p_solve.add_argument("--init", default=None, choices=tuple(INITIALIZERS))
     p_solve.add_argument("--max-iter", type=int, default=1000)
-    p_solve.add_argument("--alpha1", type=float, default=0.1)
     p_solve.add_argument("--eps", type=float, default=None,
                          help="accuracy target when the infimum is unattained")
     p_solve.add_argument("--seed", type=int, default=None,
@@ -101,7 +100,7 @@ def build_parser():
 def _cmd_solve(args):
     X = matrixio.read_matrix(args.X)
     B = matrixio.read_matrix(args.B)
-    cfg = SolverConfig(max_iter=args.max_iter, alpha1=args.alpha1)
+    cfg = SolverConfig(max_iter=args.max_iter)
     sol = solve(X, B, method=args.method, init=args.init, cfg=cfg, eps=args.eps)
     header = matrixio.solution_header(sol)
     if args.seed is not None:

@@ -12,7 +12,7 @@ Four initializations of increasing sophistication:
   well conditioned, and it strictly improves on the diagonal rule.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,7 +107,7 @@ def split_diagonal(d, kappa_max=KAPPA_MAX):
     return Partition(tuple(blocks), kappas)
 
 
-def init_recursive(sigma1, B11, cfg=None):
+def init_recursive(sigma1, B11):
     """Recursive block initialization for a diagonal data matrix.
 
     ``sigma1`` may be a 1-D vector of positive diagonal entries, in any
@@ -116,7 +116,8 @@ def init_recursive(sigma1, B11, cfg=None):
     ``split_diagonal`` at KAPPA_MAX, and each block subproblem gets its
     diagonal initialization refined by BLOCK_ITERS fast-gradient iterations
     using the block's own curvature constants; the best block iterate
-    is kept, so the result never trails the plain diagonal rule.
+    is kept, so the result never trails the plain diagonal rule.  The
+    budget is fixed: no caller's run budget reaches the blocks.
     """
     sig = np.asarray(sigma1, dtype=float)
     if sig.ndim == 2:
@@ -131,14 +132,7 @@ def init_recursive(sigma1, B11, cfg=None):
     r = sig.size
     if B11.shape != (r, r):
         raise DimensionError("B11 must be %d-by-%d, got %s" % (r, r, (B11.shape,)))
-    cfg = cfg or SolverConfig()
-    bcfg = replace(
-        cfg,
-        max_iter=BLOCK_ITERS,
-        record_trace=False,
-        objective_tol=None,
-        wall_clock_budget=None,
-    )
+    bcfg = SolverConfig(max_iter=BLOCK_ITERS, record_trace=False)
     order = np.argsort(sig, kind="stable")
     part = split_diagonal(sig[order])
     A0 = np.zeros((r, r))

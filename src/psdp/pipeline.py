@@ -40,19 +40,18 @@ from .reduction import (
 # perfbench's tracer wraps these names here
 from .reduction import kernel_contained, make_subproblem_solution  # noqa: F401
 from .solution import IterateTrace, PsdpSolution
-from .solvers import SolverConfig, fgm_solve, gradient_solve, partan_solve
+from .solvers import fgm_solve, gradient_solve, partan_solve
 
 METHODS = ("gradient", "fgm", "partan", "an-fgm")
 
-# name -> (X, B, cfg) -> A0; "recursive" needs a diagonal X.  The entries
+# name -> (X, B) -> A0; "recursive" needs a diagonal X.  The entries
 # resolve the init_* names at call time, through this module's attributes.
 INITIALIZERS = {
-    "zero": lambda X, B, cfg: init_zero(X.shape[0]),
-    "unconstrained": lambda X, B, cfg: init_unconstrained(X, B),
-    "diagonal": lambda X, B, cfg: init_diagonal(X, B),
-    "recursive": lambda X, B, cfg: init_recursive(X, B, cfg),
+    "zero": lambda X, B: init_zero(X.shape[0]),
+    "unconstrained": lambda X, B: init_unconstrained(X, B),
+    "diagonal": lambda X, B: init_diagonal(X, B),
+    "recursive": lambda X, B: init_recursive(X, B),
 }
-INITS = tuple(INITIALIZERS)
 
 
 def _degenerate_solution(B):
@@ -90,11 +89,9 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
         the trace mapped back to original coordinates (objective entries
         are sqrt(subproblem residual^2 + offset)).  On the iterative
         route lower_bound is ``dual_bound`` at the returned iterate and
-        gap = (infimum - lower_bound) / infimum; the reduced run stops
-        once gap <= ``solvers.GAP_TOL``.  Elsewhere the infimum is exact
-        and gap is 0.
+        gap is their ``relative_gap``; the reduced run stops once gap <=
+        ``solvers.GAP_TOL``.  Elsewhere the infimum is exact and gap is 0.
     """
-    cfg = cfg or SolverConfig()
     X = as_matrix(X, "X")
     B = as_matrix(B, "B")
     try:
@@ -113,14 +110,14 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
     if sub_init not in INITIALIZERS:
         raise ConfigurationError("unknown initialization %r" % (sub_init,))
     Xsub = np.diag(red.sigma1)
-    A0 = INITIALIZERS[sub_init](Xsub, red.B11, cfg)
+    A0 = INITIALIZERS[sub_init](Xsub, red.B11)
 
     # (sub, bound) of the last gap check, reused when it checked best_A
     checked = [None, None]
 
     def certificate(A11, f):
         checked[:] = factor_and_bound(red, A11)
-        return relative_gap(f + red.offset, checked[1])
+        return relative_gap(red, f + red.offset, checked[1])
 
     sub_run = fgm_solve(Xsub, red.B11, A0, cfg, certificate=certificate, precondition=True)
     sub, bound = checked
@@ -135,7 +132,7 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
         out = assemble_epsilon(red, sub, eps)
     # the bound can exceed the upper estimate only by rounding
     out.lower_bound = min(bound, out.infimum)
-    out.gap = relative_gap(out.infimum, out.lower_bound)
+    out.gap = relative_gap(red, out.infimum, out.lower_bound)
 
     if sub_run.trace is not None:
         objs = np.asarray(sub_run.trace.objectives)
@@ -160,11 +157,10 @@ def solve(X, B, method="an-fgm", init=None, cfg=None, eps=None):
         raise ConfigurationError(
             "unknown method %r; choose one of %s" % (method, ", ".join(METHODS))
         )
-    if init is not None and init not in INITS:
+    if init is not None and init not in INITIALIZERS:
         raise ConfigurationError(
-            "unknown initialization %r; choose one of %s" % (init, ", ".join(INITS))
+            "unknown initialization %r; choose one of %s" % (init, ", ".join(INITIALIZERS))
         )
-    cfg = cfg or SolverConfig()
 
     if method == "an-fgm":
         return an_fgm_solve(X, B, cfg=cfg, eps=eps, sub_init=init or "recursive")
@@ -175,6 +171,6 @@ def solve(X, B, method="an-fgm", init=None, cfg=None, eps=None):
         )
     X = as_matrix(X, "X")
     B = as_matrix(B, "B")
-    A0 = INITIALIZERS[init or "diagonal"](X, B, cfg)
+    A0 = INITIALIZERS[init or "diagonal"](X, B)
     runner = {"gradient": gradient_solve, "fgm": fgm_solve, "partan": partan_solve}[method]
     return runner(X, B, A0, cfg)

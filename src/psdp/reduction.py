@@ -42,6 +42,7 @@ from .errors import (
     ParameterError,
 )
 from .matcore import (
+    EPS,
     SymEig,
     as_matrix,
     default_rank_tol,
@@ -273,9 +274,14 @@ def factor_and_bound(red, A11hat):
     return sub, dual_bound(red, sub)
 
 
-def relative_gap(upper, lower):
-    """(upper - lower) / upper, the relative width of [lower, upper]; 0 when upper is 0."""
-    return (upper - lower) / upper if upper > 0.0 else 0.0
+def relative_gap(red, upper, lower):
+    """(upper - lower) / upper, the relative width of [lower, upper].
+
+    Its denominator is floored at EPS (|B11|_F^2 + offset), the objective
+    of A11 = 0 at rounding level, so an exact fit certifies; 0 when that is 0.
+    """
+    denom = max(upper, EPS * (fro_norm(red.B11) ** 2 + red.offset))
+    return (upper - lower) / denom if denom > 0.0 else 0.0
 
 
 def minimal_norm_completion(Bblk, Cblk):

@@ -58,21 +58,21 @@ from .solution import IterateTrace, PsdpSolution
 # every GAP_EVERY iterations
 GAP_TOL = 1e-12
 GAP_EVERY = 50
+# the fast gradient method's initial momentum parameter, a fixed choice in (0, 1)
+ALPHA1 = 0.1
 
 
 @dataclass
 class SolverConfig:
-    """Iteration budget and tolerances shared by the iterative solvers.
+    """Run budget and recording shared by the iterative solvers.
 
-    alpha1 is the initial momentum parameter of the fast gradient
-    method, in (0, 1).  objective_tol, when set, stops a run once the
-    best objective has improved by less than objective_tol relative
-    over the last 10 iterations.  wall_clock_budget, when set, stops
-    the iteration loop after that many seconds.
+    objective_tol, when set, stops a run once the best objective has
+    improved by less than objective_tol relative over the last 10
+    iterations.  wall_clock_budget, when set, stops the iteration loop
+    after that many seconds.  The step rules have no settings.
     """
 
     max_iter: int = 1000
-    alpha1: float = 0.1
     objective_tol: float = None
     record_trace: bool = True
     wall_clock_budget: float = None
@@ -80,8 +80,6 @@ class SolverConfig:
     def __post_init__(self):
         if not isinstance(self.max_iter, int) or self.max_iter < 1:
             raise ParameterError("max_iter must be a positive integer, got %r" % (self.max_iter,))
-        if not (0.0 < self.alpha1 < 1.0):
-            raise ParameterError("alpha1 must lie in (0, 1), got %r" % (self.alpha1,))
         if self.objective_tol is not None and self.objective_tol < 0:
             raise ParameterError("objective_tol must be nonnegative")
         if self.wall_clock_budget is not None and self.wall_clock_budget <= 0:
@@ -188,7 +186,7 @@ def _solve(rule, oracle, A0, cfg, certificate=None):
 
     ``rule(A, val, **oracle)`` is a generator yielding the successive
     iterates with their residual norms; it reads what it needs from the
-    keywords step, objective, XXt, BXt, q and alpha1.  The loop owns
+    oracle's keywords step, objective, XXt, BXt and q.  The loop owns
     everything else: the trace, the best iterate and the stop rules.
     When the oracle iterates on Ahat = A * scale (its scale is not
     None), A0 is mapped to Ahat first and every iterate the loop hands
@@ -213,7 +211,7 @@ def _solve(rule, oracle, A0, cfg, certificate=None):
     best_val, best_A, best_hist = np.inf, None, []
     objective = oracle["objective"]
     val = objective(A)
-    steps = rule(A, val, alpha1=cfg.alpha1, **oracle)
+    steps = rule(A, val, **oracle)
     steps = itertools.islice(steps, cfg.max_iter if oracle["L"] > 0.0 else 0)
     for k, (A, val) in enumerate(itertools.chain([(A, val)], steps)):
         if trace is not None:
@@ -248,17 +246,17 @@ def _plain(A, val, step, objective, **_):
         yield A, objective(A)
 
 
-def _momentum(A, val, step, objective, q, alpha1, **_):
+def _momentum(A, val, step, objective, q, **_):
     """Nesterov momentum: the projected step is taken at an extrapolated point.
 
-    Starting from alpha = alpha1 and Y = A, one iteration sets
+    Starting from alpha = ALPHA1 and Y = A, one iteration sets
     A' = proj(Y - G(Y) / L), updates the momentum parameter by
     alpha' = (q - alpha^2 + sqrt((q - alpha^2)^2 + 4 alpha^2)) / 2,
     sets beta = alpha (1 - alpha) / (alpha^2 + alpha') and extrapolates
     Y = A' + beta (A' - A).
     """
     Y = A
-    alpha = alpha1
+    alpha = ALPHA1
     while True:
         A_prev = A
         A = step(Y)

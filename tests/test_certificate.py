@@ -86,6 +86,27 @@ def test_bound_holds_on_data_scaled_by_1e100():
     assert sol.lower_bound / c**2 == pytest.approx(ref.lower_bound, rel=1e-12)
 
 
+def psd_exact_fit():
+    """B = A* X with a random positive definite 5x5 A* and a 5x3 X."""
+    rng = np.random.default_rng(0)
+    G = rng.standard_normal((5, 5))
+    X = rng.standard_normal((5, 3))
+    return X, (G @ G.T) @ X
+
+
+@pytest.mark.parametrize("X,B", [
+    (np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]),
+     np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])),
+    psd_exact_fit(),
+], ids=["diagonal-3x2", "psd-5x3"])
+def test_exact_fit_certifies_at_the_first_check(X, B):
+    # the infimum is rounding noise (about 1e-31), so the gap is measured
+    # against the data scale |B11|^2 + offset, not against the infimum
+    sol = an_fgm_solve(X, B)
+    assert len(sol.trace) == solvers.GAP_EVERY + 1
+    assert sol.gap <= solvers.GAP_TOL
+
+
 def test_ill_conditioned_run_never_certifies_and_is_unchanged(monkeypatch):
     X, B = gen(InstanceSpec("ill_conditioned", 30, 30, 2, kappa_target=1e6))
     cfg = SolverConfig(max_iter=400)

@@ -115,7 +115,6 @@ def test_solve_bad_flag_value(tmp_path, capsys):
     X, B = gen(InstanceSpec("gaussian", 5, 5, 0))
     xp, bp = write_instance(tmp_path, X, B)
     assert cli.main(["solve", xp, bp, "--max-iter", "-3"]) == 2
-    assert cli.main(["solve", xp, bp, "--alpha1", "1.5"]) == 2
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):

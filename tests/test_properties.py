@@ -1,0 +1,122 @@
+"""Property tests of ``an_fgm_solve`` over small random instances.
+
+Instances are n-by-m with n, m in [1, 8], X = U diag(e^u) V.T of rank r
+in [1, min(n, m)] with u uniform on [-2, 2], and B standard normal.
+Hypothesis draws the shape, the rank and a seed; numpy draws the
+entries from that seed.  Runs are derandomized, so a failure reproduces.
+
+Scale covariance, (cX, dB) -> (d/c) A, is not among the properties: the
+eps-solution's guards are absolute, so it fails at large data scale
+(``test_eps_solution_holds_at_large_data_scale``).  The same lift makes
+the residual of an eps-solution drift from its reported objective even at
+unit scale (``test_eps_solution_residual_matches_objective``), so the
+residual is compared with the objective on attained results only.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from psdp import an_fgm_solve, reduce_problem
+from psdp.bench import InstanceSpec, gen
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def shapes(draw):
+    """(n, m, r, seed) of one instance."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8))
+    r = draw(st.integers(1, min(n, m)))
+    return n, m, r, draw(st.integers(0, 2**32 - 1))
+
+
+def _orthonormal(rng, n, k):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0][:, :k]
+
+
+def instance(shape):
+    n, m, r, seed = shape
+    rng = np.random.default_rng(seed)
+    sigma = np.exp(rng.uniform(-2.0, 2.0, r))
+    X = (_orthonormal(rng, n, r) * sigma) @ _orthonormal(rng, m, r).T
+    return X, rng.standard_normal((n, m)), rng
+
+
+def route(X, B, sol):
+    """(closed form or iterative, rank of X): the route ``an_fgm_solve`` took."""
+    return sol.trace is None, reduce_problem(X, B).r
+
+
+def check_result(X, B, sol):
+    A = sol.A
+    assert np.isfinite(A).all()
+    assert np.array_equal(A, A.T)
+    lam = np.linalg.eigvalsh(A)
+    assert lam[0] >= -1e-10 * max(1.0, lam[-1])
+    assert sol.lower_bound <= sol.infimum * (1.0 + 1e-12)
+    assert 0.0 <= sol.gap <= 1.0
+    if sol.attained:
+        # an eps-solution's objective is exact only in exact arithmetic
+        # (test_eps_solution_residual_matches_objective)
+        residual = float(np.linalg.norm(A @ X - B, "fro")) ** 2
+        assert abs(residual - sol.objective) <= 1e-8 * max(1.0, sol.objective)
+    else:
+        assert sol.objective < sol.infimum + sol.epsilon
+    if reduce_problem(X, B).r == 1:
+        assert sol.gap == 0.0
+
+
+@SETTINGS
+@given(shape=shapes())
+@example(shape=(1, 1, 1, 0))
+@example(shape=(1, 6, 1, 1))
+@example(shape=(6, 1, 1, 2))
+def test_result_is_psd_bounded_and_consistent(shape):
+    X, B, _ = instance(shape)
+    check_result(X, B, an_fgm_solve(X, B))
+
+
+@SETTINGS
+@given(shape=shapes())
+@example(shape=(1, 1, 1, 0))
+@example(shape=(1, 6, 1, 1))
+@example(shape=(6, 1, 1, 2))
+def test_orthogonal_covariance(shape):
+    # under X -> Q X W, B -> Q B W both certified intervals contain the
+    # same true infimum, so their upper ends differ by at most the wider one
+    X, B, rng = instance(shape)
+    n, m = X.shape
+    Q, W = _orthonormal(rng, n, n), _orthonormal(rng, m, m)
+    X2, B2 = Q @ X @ W, Q @ B @ W
+    sol, sol2 = an_fgm_solve(X, B), an_fgm_solve(X2, B2)
+    check_result(X2, B2, sol2)
+    assert route(X, B, sol) == route(X2, B2, sol2)
+    assert sol.attained == sol2.attained
+    width = max(sol.infimum - sol.lower_bound, sol2.infimum - sol2.lower_bound)
+    assert abs(sol.infimum - sol2.infimum) <= width + 1e-12 * max(sol.infimum, sol2.infimum)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the eps-solution's lift is absolute: at 1e4 B the returned A "
+                   "is about 5e4 above the infimum, against eps = 0.5")
+def test_eps_solution_holds_at_large_data_scale():
+    X, B = gen(InstanceSpec("rank_deficient", 30, 20, 0))
+    c = 1e4
+    sol = an_fgm_solve(X, c * B)
+    residual = float(np.linalg.norm(sol.A @ X - c * B, "fro")) ** 2
+    assert residual < sol.infimum + sol.epsilon
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the lift block Y Y.T / upsilon has entries near 1e9 here, and "
+                   "rounding in A X moves the residual 1.4e-7 off the objective")
+def test_eps_solution_residual_matches_objective():
+    # sigma = (5.63, 0.149) and eps = 1.7e-7: an unattained iterative
+    # result that certifies (gap 0), found by the property search above
+    X, B, _ = instance((4, 2, 2, 10861902))
+    sol = an_fgm_solve(X, B)
+    residual = float(np.linalg.norm(sol.A @ X - B, "fro")) ** 2
+    assert abs(residual - sol.objective) <= 1e-8 * max(1.0, sol.objective)

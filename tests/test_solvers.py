@@ -20,20 +20,17 @@ from psdp import (
     partan_solve,
     precompute,
     psd_project,
+    solvers,
 )
 
 
 def test_config_validation():
     with pytest.raises(ParameterError):
-        SolverConfig(alpha1=0.0)
-    with pytest.raises(ParameterError):
-        SolverConfig(alpha1=1.0)
-    with pytest.raises(ParameterError):
         SolverConfig(max_iter=0)
     with pytest.raises(ParameterError):
         SolverConfig(wall_clock_budget=0.0)
     cfg = SolverConfig()
-    assert cfg.max_iter == 1000 and cfg.alpha1 == 0.1
+    assert cfg.max_iter == 1000
 
 
 def test_precompute_constants():
@@ -122,10 +119,10 @@ def test_iterates_frozen_6x6():
 
 
 def test_momentum_schedule_degenerates_at_q_one():
-    # with q = 1 and alpha1 = 0.1 the next alpha is exactly 1 and the
+    # with q = 1 and alpha = ALPHA1 the next alpha is exactly 1 and the
     # momentum coefficient vanishes from the second iteration on
     q = 1.0
-    alpha = 0.1
+    alpha = solvers.ALPHA1
     alpha_next = 0.5 * (q - alpha**2 + np.sqrt((q - alpha**2) ** 2 + 4 * alpha**2))
     assert alpha_next == pytest.approx(1.0, abs=1e-14)
     beta = alpha_next * (1 - alpha_next) / (alpha_next**2 + alpha_next)
