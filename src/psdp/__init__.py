@@ -52,7 +52,6 @@ from .reduction import (
     SubproblemSolution,
     assemble_epsilon,
     assemble_optimal,
-    default_epsilon,
     infimum_value,
     kernel_contained,
     make_subproblem_solution,
@@ -97,7 +96,6 @@ __all__ = [
     "an_fgm_solve",
     "assemble_epsilon",
     "assemble_optimal",
-    "default_epsilon",
     "eigh_sorted",
     "fgm_solve",
     "fro_norm",

@@ -11,8 +11,8 @@ regardless of platform or execution order.  Families:
   singular values zeroed, B Gaussian;
 * init_experiment: the fixed 37-by-37 diagonal ladder
   1..10, 20..100, 200..1000, 2000..10000 (condition number 1e4), with
-  B Gaussian or uniform on [0, 1] per the b_dist sub-flag ("uniform"
-  as a family name is shorthand for the uniform-B variant).
+  B Gaussian;
+* uniform: the same ladder with B uniform on [0, 1].
 
 ``run_init_experiment`` compares the four initializations on the
 ladder instance; ``run_solver_experiment`` races the four solvers on
@@ -55,7 +55,6 @@ class InstanceSpec:
     m: int
     seed: int
     kappa_target: float = None
-    b_dist: str = "gaussian"
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -64,8 +63,6 @@ class InstanceSpec:
             )
         if self.n < 1 or self.m < 1:
             raise ParameterError("dimensions must be positive, got n=%d m=%d" % (self.n, self.m))
-        if self.b_dist not in ("gaussian", "uniform"):
-            raise ParameterError("b_dist must be 'gaussian' or 'uniform'")
         if self.kappa_target is not None and self.kappa_target < 1.0:
             raise ParameterError("kappa_target must be at least 1")
 
@@ -83,8 +80,7 @@ def gen(spec):
         if (n, m) != (37, 37):
             raise ParameterError("the ladder family is fixed at 37-by-37, got %d-by-%d" % (n, m))
         X = np.diag(LADDER)
-        uniform_b = family == "uniform" or spec.b_dist == "uniform"
-        B = rng.random((n, m)) if uniform_b else rng.standard_normal((n, m))
+        B = rng.random((n, m)) if family == "uniform" else rng.standard_normal((n, m))
         return X, B
     if family == "gaussian":
         X = rng.standard_normal((n, m))
@@ -161,8 +157,8 @@ def _write_csv(path, columns, rows):
 # initialization experiment
 
 
-def _init_trial(b_dist, seed, iters):
-    X, B = gen(InstanceSpec("init_experiment", 37, 37, seed, b_dist=b_dist))
+def _init_trial(family, seed, iters):
+    X, B = gen(InstanceSpec(family, 37, 37, seed))
     out = {}
     for name, initialize in INITIALIZERS.items():
         A0 = initialize(X, B)
@@ -193,14 +189,14 @@ def run_init_experiment(trials, iters, out_dir=None, seed0=2024):
     reports = {}
     summary_rows = []
     trace_rows = []
-    for b_dist in ("gaussian", "uniform"):
-        results = [_init_trial(b_dist, seed0 + t, iters) for t in range(trials)]
+    for label, family in (("gaussian", "init_experiment"), ("uniform", "uniform")):
+        results = [_init_trial(family, seed0 + t, iters) for t in range(trials)]
         report = _report(results, trials, iters, 0)
         for name in INITIALIZERS:
-            summary_rows.append([b_dist, name, report.summary[name][0], report.summary[name][1]])
+            summary_rows.append([label, name, report.summary[name][0], report.summary[name][1]])
             for it, val in enumerate(report.mean_curves[name]):
-                trace_rows.append([b_dist, name, it, val])
-        reports[b_dist] = report
+                trace_rows.append([label, name, it, val])
+        reports[label] = report
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         _write_csv(os.path.join(out_dir, "summary.csv"), ["family", "method", "mean", "std"], summary_rows)

@@ -72,7 +72,6 @@ def build_parser():
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--kappa", type=float, default=None,
                        help="condition target for the ill-conditioned family")
-    p_gen.add_argument("--b-dist", default="gaussian", choices=("gaussian", "uniform"))
     p_gen.add_argument("--out", required=True,
                        help="output prefix; writes PREFIX.X.txt and PREFIX.B.txt")
 
@@ -117,8 +116,7 @@ def _cmd_gen(args):
     size = 37 if family in ("uniform", "init_experiment") else 50
     n = size if args.n is None else args.n
     m = size if args.m is None else args.m
-    spec = bench.InstanceSpec(family, n, m, args.seed,
-                              kappa_target=args.kappa, b_dist=args.b_dist)
+    spec = bench.InstanceSpec(family, n, m, args.seed, kappa_target=args.kappa)
     X, B = bench.gen(spec)
     matrixio.write_matrix(args.out + ".X.txt", X)
     matrixio.write_matrix(args.out + ".B.txt", B)

@@ -29,16 +29,14 @@ from .matcore import as_matrix, fro_norm
 from .reduction import (
     assemble_epsilon,
     assemble_optimal,
-    default_epsilon,
     factor_and_bound,
-    infimum_value,
+    kernel_contained,
+    make_subproblem_solution,
     negative_case_solution,
     rank1_solve,
     reduce_problem,
     relative_gap,
 )
-# perfbench's tracer wraps these names here
-from .reduction import kernel_contained, make_subproblem_solution  # noqa: F401
 from .solution import IterateTrace, PsdpSolution
 from .solvers import fgm_solve, gradient_solve, partan_solve
 
@@ -105,7 +103,13 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
         if red.r < red.n:
             neg = negative_case_solution(red, eps=eps)
             if neg is not None:
-                return neg
+                # the subproblem minimizer is 0; A = 0 attains when Z = 0
+                zero = make_subproblem_solution(np.zeros((red.r, red.r)), red)
+                if not kernel_contained(zero, red):
+                    return neg
+                out = assemble_optimal(red, zero)
+                out.lower_bound, out.gap = out.infimum, 0.0
+                return out
 
     if sub_init not in INITIALIZERS:
         raise ConfigurationError("unknown initialization %r" % (sub_init,))
@@ -127,8 +131,6 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
     try:
         out = assemble_optimal(red, sub)
     except NotAttainedError:
-        if eps is None:
-            eps = default_epsilon(infimum_value(red, sub), sub.residual)
         out = assemble_epsilon(red, sub, eps)
     # the bound can exceed the upper estimate only by rounding
     out.lower_bound = min(bound, out.infimum)

@@ -60,7 +60,7 @@ from .solution import PsdpSolution
 
 # eigenvalues at or below KERNEL_TOL times the largest are kernel directions
 KERNEL_TOL = 1e-8
-ZERO_TOL = 1e-12  # rank1_solve's w is zero when |w| <= ZERO_TOL * max(1, |B v|)
+ZERO_TOL = 1e-12  # rank1_solve's w is zero when |w| <= ZERO_TOL * |B v|
 
 
 def _complement(Q):
@@ -162,10 +162,10 @@ def _numerical_rank(lam):
     return int(np.count_nonzero(lam > KERNEL_TOL * max(float(lam[0]), 0.0)))
 
 
-def _kernel_excess(C, N):
-    """|C N|_F when it exceeds KERNEL_TOL * max(1, |C|_F) (range(N) not in ker(C)), else None."""
+def _kernel_excess(C, N, unit):
+    """|C N|_F when it exceeds KERNEL_TOL * unit (range(N) not in ker(C)), else None."""
     cn = float(np.linalg.norm(C @ N, "fro"))
-    return cn if cn > KERNEL_TOL * max(1.0, float(np.linalg.norm(C, "fro"))) else None
+    return cn if cn > KERNEL_TOL * unit else None
 
 
 def make_subproblem_solution(A11hat, red):
@@ -185,9 +185,11 @@ def kernel_contained(sub, red):
 
     Vacuously true when r = n (Z is empty) or A11hat is positive
     definite under KERNEL_TOL (no kernel directions).  Reads Y = U2 Z,
-    whose norms |Y N|_F and |Y|_F equal |Z N|_F and |Z|_F.
+    whose norm |Y N|_F equals |Z N|_F, against the data's unit
+    |B V1 Sigma1^{-1}|_F, the size of Y when it is not zero.
     """
-    return _kernel_excess(red.Y, sub.eig.Q[:, sub.rank_s:]) is None
+    unit = math.hypot(fro_norm(red.B11 / red.sigma1), fro_norm(red.Y))
+    return _kernel_excess(red.Y, sub.eig.Q[:, sub.rank_s:], unit) is None
 
 
 def _rotate_blocks(red, A11, W, dK=None):
@@ -301,7 +303,7 @@ def minimal_norm_completion(Bblk, Cblk):
             "coupling block must have %d columns, got %s" % (Bblk.shape[0], (Cblk.shape,))
         )
     eig = eigh_sorted(Bblk)
-    cn = _kernel_excess(Cblk, eig.Q[:, _numerical_rank(eig.lam):])
+    cn = _kernel_excess(Cblk, eig.Q[:, _numerical_rank(eig.lam):], fro_norm(Cblk))
     if cn is not None:
         raise ConstraintViolationError(
             "kernel of the leading block is not contained in the kernel of the "
@@ -332,39 +334,37 @@ def assemble_optimal(red, sub, K=None):
     return PsdpSolution(A=A, objective=value, infimum=value, attained=True)
 
 
-def admissible_eps_upper(residual):
-    """Upper end of the open interval of admissible eps values."""
-    return min(1.0, residual**2) if residual > 0 else 1.0
+def resolve_epsilon(eps, infimum, residual=None):
+    """``eps``, or min(max(1e-8, 1e-6 infimum), upper / 2) when None.
 
-
-def default_epsilon(infimum, residual):
-    """A small eps well inside the admissible interval."""
-    upper = admissible_eps_upper(residual)
-    return min(max(1e-8, 1e-6 * infimum), upper / 2.0)
-
-
-def _check_eps(eps, residual):
-    """Raise ParameterError unless eps lies in the admissible interval."""
-    upper = admissible_eps_upper(residual)
-    if not (0.0 < eps < upper):
+    eps must lie in (0, upper): upper = residual^2 for a lift of a candidate
+    of that residual (it adds at most eps / 2 + eps^2 / (16 residual^2)),
+    1 when the residual is 0, inf on the rank-one route (residual None).
+    """
+    upper = math.inf if residual is None else residual**2 if residual > 0 else 1.0
+    if eps is None:
+        eps = min(max(1e-8, 1e-6 * infimum), upper / 2.0)
+    if not 0.0 < eps < upper:
         raise ParameterError(
             "eps must lie in the open interval (0, %.6g), got %.6g" % (upper, eps)
         )
+    return eps
 
 
-def assemble_epsilon(red, sub, eps, K_eps=None):
+def assemble_epsilon(red, sub, eps=None, K_eps=None):
     """Build a feasible A_eps with objective < infimum + eps.
 
     Kernel directions of A11hat are lifted to the level eps / beta with
     beta = 4 sqrt(r - s) |sigma1| residual (or without the residual
     factor when the residual vanishes), which restores invertibility so
     the trailing block Z (A11hat_eps)^{-1} Z.T exists.  eps must lie in
-    (0, min(1, residual^2)), or (0, 1) when the residual is zero.  The
-    call is legal even when the infimum is attained; it then returns a
-    nearby feasible point.
+    (0, residual^2), or (0, 1) when the residual is zero; None takes the
+    default of ``resolve_epsilon``.  The call is legal even when the
+    infimum is attained; it then returns a nearby feasible point.
     """
     res = sub.residual
-    _check_eps(eps, res)
+    infimum = infimum_value(red, sub)
+    eps = resolve_epsilon(eps, infimum, res)
     s = sub.rank_s
     Qp, lam_p, N = sub.eig.Q[:, :s], sub.eig.lam[:s], sub.eig.Q[:, s:]
     A11_eps, A11_inv = sub.A11hat, (Qp / lam_p) @ Qp.T
@@ -375,7 +375,6 @@ def assemble_epsilon(red, sub, eps, K_eps=None):
         A11_eps = sym_part((Qp * lam_p) @ Qp.T + upsilon * (N @ N.T))
         A11_inv = A11_inv + (N @ N.T) / upsilon
     dK = None if K_eps is None else _trailing_excess(red, K_eps, A11_inv, "K_eps")
-    infimum = infimum_value(red, sub)
     objective = subproblem_residual(A11_eps, red) ** 2 + red.offset
     A = _rotate_blocks(red, A11_eps, A11_inv, dK)
     return PsdpSolution(
@@ -399,7 +398,7 @@ def negative_case_solution(red, X=None, B=None, eps=None):
     holds the subproblem minimizer is A11 = 0 and the infimum equals
     |U1.T B V1|^2 + |B V2|^2.  The route always returns an eps-solution
     with attained=False, which is exact only when Z != 0: when Z = 0
-    (B = -X, say) A = 0 attains the infimum, as the iterative route
+    (B = -X, say) A = 0 attains the infimum, as ``an_fgm_solve``
     reports.  A_eps uses the leading block (eps / alpha) I with
     alpha = 4 sqrt(n) |sigma1| |U1.T B V1|_F (the norm factor dropped
     when it vanishes); lower_bound = infimum, gap 0.  Returns None when
@@ -414,9 +413,7 @@ def negative_case_solution(red, X=None, B=None, eps=None):
     if float(w[-1]) > KERNEL_TOL * float(red.sigma1[0]) * b_norm:
         return None
     infimum = b_norm**2 + red.offset
-    if eps is None:
-        eps = default_epsilon(infimum, b_norm)
-    _check_eps(eps, b_norm)
+    eps = resolve_epsilon(eps, infimum, b_norm)
     sig_norm = float(np.linalg.norm(red.sigma1))
     alpha = 4.0 * math.sqrt(red.n) * sig_norm * (b_norm if b_norm > 0 else 1.0)
     c = eps / alpha
@@ -443,8 +440,9 @@ def rank1_solve(X, B, eps=None, red=None):
       sigma^2 / n0^2 - 2 sigma t / n0 < eps, and trailing block
       (n0 / sigma^2) w w.T.
 
-    For the unattained regime any eps > 0 is admissible.  The infimum
-    is exact: lower_bound = infimum, gap 0.  Inputs of rank other than
+    For the unattained regime any eps > 0 is admissible.  The branch is
+    the same under (cX, dB); the eps-solution, a = 1 / n0, is not.  The
+    infimum is exact: lower_bound = infimum, gap 0.  Inputs of rank other than
     one raise InapplicableError.  ``red``, when given, is the
     ReducedProblem of (X, B) and is used instead of reducing again.
     """
@@ -472,22 +470,20 @@ def rank1_solve(X, B, eps=None, red=None):
 
     infimum = t**2 + red.offset
     # |B v|^2 = t^2 + |w|^2
-    if w_norm <= ZERO_TOL * max(1.0, math.hypot(t, w_norm)):
+    if w_norm <= ZERO_TOL * math.hypot(t, w_norm):
         return PsdpSolution(
             A=np.zeros((red.n, red.n)), objective=infimum, infimum=infimum, attained=True,
             lower_bound=infimum, gap=0.0,
         )
 
-    if eps is None:
-        eps = max(1e-8, 1e-6 * infimum)
-    if eps <= 0.0:
-        raise ParameterError("eps must be positive, got %.6g" % eps)
-    # smallest n0 with sigma^2/n0^2 - 2 sigma t/n0 < eps: closed-form floor,
-    # then walk up to absorb rounding
-    y_star = (t + math.sqrt(t * t + eps)) / sigma
+    eps = resolve_epsilon(eps, infimum)
+    # smallest n0 with sigma^2/n0^2 - 2 sigma t/n0 < eps: closed-form floor
+    # (y_star = (t + sqrt(t^2 + eps)) / sigma, without cancellation for t <= 0),
+    # then walk up to absorb rounding, by more than the float spacing of n0
+    y_star = eps / (sigma * (math.sqrt(t * t + eps) - t))
     n0 = max(1, int(math.floor(1.0 / y_star)))
     while sigma**2 / n0**2 - 2.0 * sigma * t / n0 >= eps:
-        n0 += 1
+        n0 += max(1, n0 >> 50)
     a = 1.0 / n0
     A = _rotate_blocks(red, np.array([[a]]), np.array([[1.0 / a]]))
     objective = infimum + sigma**2 / n0**2 - 2.0 * sigma * t / n0

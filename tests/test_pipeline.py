@@ -97,6 +97,18 @@ def test_negative_case_shortcut_matches_general_path():
         assert shortcut.infimum == pytest.approx(closed.infimum, rel=1e-12)
 
 
+def test_negative_case_with_zero_forced_block_is_attained():
+    # B = -X: the negative condition holds and Z = 0, so A = 0 attains
+    # the infimum |X|_F^2 = 5, as the iterative route also finds
+    X = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+    sol = an_fgm_solve(X, -X)
+    assert sol.attained is True
+    assert np.allclose(sol.A, 0.0, rtol=0.0, atol=1e-12)
+    assert sol.infimum == pytest.approx(5.0, rel=1e-12)
+    assert sol.lower_bound == sol.infimum and sol.gap == 0.0
+    assert an_fgm_solve(X, -X, use_closed_forms=False).attained is True
+
+
 def _rank1(rng):
     return np.outer(rng.standard_normal(6), rng.standard_normal(5)), rng.standard_normal((6, 5))
 
