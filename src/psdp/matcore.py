@@ -17,8 +17,8 @@ import numpy as np
 from .errors import DimensionError, NumericError, ParameterError
 
 EPS = float(np.finfo(np.float64).eps)
-PINV_TOL = 1e-12  # eigenvalues at or below PINV_TOL times the largest invert to 0
-PSD_TOL = 1e-8  # the relative slack of ``is_psd``
+# the kernel rule: an eigenvalue at or below KERNEL_TOL times the largest is zero
+KERNEL_TOL = 1e-8
 
 
 def as_matrix(M, name="matrix"):
@@ -144,26 +144,25 @@ def psd_project(M):
     return (P + P.T) / 2.0
 
 
+def numerical_rank(lam):
+    """Count of the nonincreasing eigenvalues lam above KERNEL_TOL times the largest."""
+    return int(np.count_nonzero(lam > KERNEL_TOL * max(float(lam[0]), 0.0)))
+
+
 def pinv_psd(S):
     """Moore-Penrose pseudoinverse of a symmetric PSD matrix.
 
-    Eigenvalues at or below PINV_TOL times the largest one are treated
+    Eigenvalues at or below KERNEL_TOL times the largest one are treated
     as zero.  The result is symmetric PSD with the same kernel.
     """
-    return pinv_from_eig(eigh_sorted(S))
+    return sym_part(pinv_from_eig(eigh_sorted(S)))
 
 
 def pinv_from_eig(eig):
-    """``pinv_psd`` of the matrix whose eigendecomposition is ``eig`` (a SymEig)."""
+    """``pinv_psd`` unsymmetrized: the ``numerical_rank`` leading pairs of ``eig``, inverted."""
     Q, lam = eig
-    lam_max = max(float(lam[0]), 0.0)
-    if lam_max == 0.0:
-        return np.zeros_like(Q)
-    keep = lam > PINV_TOL * lam_max
-    # avoid 0/0 warnings on the clipped entries
-    inv = np.divide(np.where(keep, 1.0, 0.0), np.where(keep, lam, 1.0))
-    P = (Q * inv) @ Q.T
-    return (P + P.T) / 2.0
+    s = numerical_rank(lam)
+    return (Q[:, :s] / lam[:s]) @ Q[:, :s].T
 
 
 def default_rank_tol(n, m, sigma_max):
@@ -172,12 +171,12 @@ def default_rank_tol(n, m, sigma_max):
 
 
 def is_psd(S):
-    """Whether ``S`` is symmetric PSD up to the relative tolerance PSD_TOL."""
+    """Whether ``S`` is symmetric PSD up to the relative tolerance KERNEL_TOL."""
     S = as_matrix(S)
     if S.shape[0] != S.shape[1]:
         return False
     scale = max(1.0, float(np.abs(S).max()))
-    if np.abs(S - S.T).max() > PSD_TOL * scale:
+    if np.abs(S - S.T).max() > KERNEL_TOL * scale:
         return False
     w = np.linalg.eigvalsh((S + S.T) / 2.0)
-    return bool(w[0] >= -PSD_TOL * max(1.0, float(abs(w[-1])), float(abs(w[0]))))
+    return bool(w[0] >= -KERNEL_TOL * max(1.0, float(abs(w[-1])), float(abs(w[0]))))

@@ -52,7 +52,8 @@ INITIALIZERS = {
 }
 
 
-def _degenerate_solution(B):
+def _zero_solution(B):
+    """A = 0 at objective |B|_F^2, optimal when X = 0 or in the negative case with Z = 0."""
     value = fro_norm(B) ** 2
     A = np.zeros((B.shape[0], B.shape[0]))
     trace = IterateTrace(objectives=[value**0.5], timestamps=[0.0])
@@ -95,21 +96,20 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
     try:
         red = reduce_problem(X, B)
     except DegenerateProblemError:
-        return _degenerate_solution(B)
+        return _zero_solution(B)
 
     if use_closed_forms:
         if red.r == 1:
             return rank1_solve(X, B, eps=eps, red=red)
         if red.r < red.n:
-            neg = negative_case_solution(red, eps=eps)
+            # the default eps is always admissible: Z = 0 is decided before a
+            # user eps is read, and then A = 0 attains the infimum
+            neg = negative_case_solution(red)
             if neg is not None:
-                # the subproblem minimizer is 0; A = 0 attains when Z = 0
                 zero = make_subproblem_solution(np.zeros((red.r, red.r)), red)
-                if not kernel_contained(zero, red):
-                    return neg
-                out = assemble_optimal(red, zero)
-                out.lower_bound, out.gap = out.infimum, 0.0
-                return out
+                if kernel_contained(zero, red):
+                    return _zero_solution(B)
+                return neg if eps is None else negative_case_solution(red, eps=eps)
 
     if sub_init not in INITIALIZERS:
         raise ConfigurationError("unknown initialization %r" % (sub_init,))

@@ -29,7 +29,7 @@ and the negative semidefinite case (``negative_case_solution``).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,12 +43,14 @@ from .errors import (
 )
 from .matcore import (
     EPS,
+    KERNEL_TOL,
     SymEig,
     as_matrix,
     default_rank_tol,
     eigh_sorted,
     fro_norm,
     is_psd,
+    numerical_rank,
     pinv_from_eig,
     psd_project,
     svd,
@@ -57,10 +59,6 @@ from .matcore import (
 )
 from .matcore import pinv_psd  # noqa: F401  (unused here; perfbench's tracer wraps this name)
 from .solution import PsdpSolution
-
-# eigenvalues at or below KERNEL_TOL times the largest are kernel directions
-KERNEL_TOL = 1e-8
-ZERO_TOL = 1e-12  # rank1_solve's w is zero when |w| <= ZERO_TOL * |B v|
 
 
 def _complement(Q):
@@ -114,8 +112,8 @@ class SubproblemSolution:
     """A PSD candidate for the r-by-r subproblem.
 
     residual is |A11hat @ diag(sigma1) - B11|_F, eig its sorted
-    eigendecomposition and rank_s its numerical rank under KERNEL_TOL,
-    so eig.Q[:, rank_s:] spans its numerical kernel.
+    eigendecomposition and rank_s its ``numerical_rank``, so
+    eig.Q[:, rank_s:] spans its numerical kernel.
     """
 
     A11hat: np.ndarray
@@ -124,7 +122,7 @@ class SubproblemSolution:
     eig: SymEig
 
 
-def reduce_problem(X, B, rank_tol=None):
+def reduce_problem(X, B):
     """Factor the instance (X, B) into a ReducedProblem.
 
     Raises DegenerateProblemError when X is numerically zero (then every
@@ -139,8 +137,7 @@ def reduce_problem(X, B, rank_tol=None):
         )
     n, m = X.shape
     U, s, V = svd(X)
-    tol = default_rank_tol(n, m, float(s[0]) if s.size else 0.0) if rank_tol is None else rank_tol
-    r = int(np.count_nonzero(s > tol))
+    r = int(np.count_nonzero(s > default_rank_tol(n, m, float(s[0]))))
     if r == 0:
         raise DegenerateProblemError("X is numerically zero; any PSD matrix is optimal")
     U1, V1 = U[:, :r], V[:, :r]
@@ -157,11 +154,6 @@ def subproblem_residual(A11, red):
     return float(np.linalg.norm(A11 * red.sigma1 - red.B11, "fro"))
 
 
-def _numerical_rank(lam):
-    """Count of the nonincreasing eigenvalues lam above KERNEL_TOL times the largest."""
-    return int(np.count_nonzero(lam > KERNEL_TOL * max(float(lam[0]), 0.0)))
-
-
 def _kernel_excess(C, N, unit):
     """|C N|_F when it exceeds KERNEL_TOL * unit (range(N) not in ker(C)), else None."""
     cn = float(np.linalg.norm(C @ N, "fro"))
@@ -176,8 +168,8 @@ def make_subproblem_solution(A11hat, red):
             "A11hat must be %d-by-%d, got %s" % (red.r, red.r, (A11hat.shape,))
         )
     eig = eigh_sorted(A11hat)
-    rank_s = _numerical_rank(eig.lam)
-    return SubproblemSolution(A11hat, subproblem_residual(A11hat, red), rank_s, eig)
+    residual = subproblem_residual(A11hat, red)
+    return SubproblemSolution(A11hat, residual, numerical_rank(eig.lam), eig)
 
 
 def kernel_contained(sub, red):
@@ -303,7 +295,7 @@ def minimal_norm_completion(Bblk, Cblk):
             "coupling block must have %d columns, got %s" % (Bblk.shape[0], (Cblk.shape,))
         )
     eig = eigh_sorted(Bblk)
-    cn = _kernel_excess(Cblk, eig.Q[:, _numerical_rank(eig.lam):], fro_norm(Cblk))
+    cn = _kernel_excess(Cblk, eig.Q[:, numerical_rank(eig.lam):], fro_norm(Cblk))
     if cn is not None:
         raise ConstraintViolationError(
             "kernel of the leading block is not contained in the kernel of the "
@@ -320,13 +312,17 @@ def assemble_optimal(red, sub, K=None):
     the default trailing block K = Z A11hat^+ Z.T the result has, among
     all optimizers, minimal rank (equal to rank of A11hat), minimal
     Frobenius norm and minimal spectral norm.  A user-supplied K must
-    satisfy K - Z A11hat^+ Z.T psd.
+    satisfy K - Z A11hat^+ Z.T psd.  Z is first taken off the numerical
+    kernel N of A11hat (Y - Y N N.T), so A is PSD to rounding.
     """
     if not kernel_contained(sub, red):
         raise NotAttainedError(
             "ker(A11hat) is not contained in ker(Z); the infimum is not attained, "
             "use assemble_epsilon"
         )
+    N = sub.eig.Q[:, sub.rank_s:]
+    if red.r < red.n and N.shape[1]:
+        red = replace(red, Y=red.Y - (red.Y @ N) @ N.T)
     W = pinv_from_eig(sub.eig) if red.r < red.n else None
     dK = None if K is None else _trailing_excess(red, K, W, "K")
     value = infimum_value(red, sub)
@@ -367,7 +363,7 @@ def assemble_epsilon(red, sub, eps=None, K_eps=None):
     eps = resolve_epsilon(eps, infimum, res)
     s = sub.rank_s
     Qp, lam_p, N = sub.eig.Q[:, :s], sub.eig.lam[:s], sub.eig.Q[:, s:]
-    A11_eps, A11_inv = sub.A11hat, (Qp / lam_p) @ Qp.T
+    A11_eps, A11_inv = sub.A11hat, pinv_from_eig(sub.eig)
     k = N.shape[1]
     if k:
         beta = 4.0 * math.sqrt(k) * float(np.linalg.norm(red.sigma1)) * (res if res > 0 else 1.0)
@@ -470,7 +466,7 @@ def rank1_solve(X, B, eps=None, red=None):
 
     infimum = t**2 + red.offset
     # |B v|^2 = t^2 + |w|^2
-    if w_norm <= ZERO_TOL * math.hypot(t, w_norm):
+    if w_norm <= KERNEL_TOL * math.hypot(t, w_norm):
         return PsdpSolution(
             A=np.zeros((red.n, red.n)), objective=infimum, infimum=infimum, attained=True,
             lower_bound=infimum, gap=0.0,

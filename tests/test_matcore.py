@@ -203,6 +203,17 @@ def test_pinv_psd_rank_one():
     assert np.allclose(P, np.outer(v, v) / 16.0)
 
 
+def test_pinv_psd_inverts_only_above_the_kernel_rule():
+    # 1e-10 of the largest eigenvalue is below KERNEL_TOL: it inverts to 0
+    P = pinv_psd(np.diag([1.0, 1e-10]))
+    assert np.array_equal(P, np.diag([1.0, 0.0]))
+    rng = np.random.default_rng(5)
+    Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    P = pinv_psd((Q * [3.0, 1.0, 1e-10, 0.0]) @ Q.T)
+    assert np.array_equal(P, P.T)
+    assert np.linalg.matrix_rank(P, tol=1e-6) == 2
+
+
 def test_pinv_psd_penrose_identities():
     rng = np.random.default_rng(47)
     R = rng.standard_normal((6, 3))

@@ -7,8 +7,11 @@ from psdp import (
     ConfigurationError,
     SolverConfig,
     an_fgm_solve,
+    assemble_optimal,
     fgm_solve,
     init_diagonal,
+    init_recursive,
+    make_subproblem_solution,
     negative_case_solution,
     rank1_solve,
     reduce_problem,
@@ -74,6 +77,19 @@ def test_rank1_shortcut_taken_and_equivalent_to_general_path():
     assert checked_attained >= 3
 
 
+@pytest.mark.parametrize("ratio", [1e-10, 1e-9])
+def test_rank1_shortcut_agrees_with_general_path_on_a_tiny_coupling(ratio):
+    # t = -1 < 0 and |w| / |B v| = ratio: w is zero under KERNEL_TOL on
+    # both routes, so both report the infimum attained by A = 0
+    X = np.array([[1.0], [0.0], [0.0]])
+    B = np.array([[-1.0], [ratio], [0.0]])
+    direct = rank1_solve(X, B)
+    general = an_fgm_solve(X, B, use_closed_forms=False)
+    assert direct.attained is True
+    assert general.attained is True
+    assert direct.infimum == pytest.approx(general.infimum, rel=1e-12)
+
+
 def test_negative_case_shortcut_matches_general_path():
     rng = np.random.default_rng(13)
     for t in range(5):
@@ -107,6 +123,27 @@ def test_negative_case_with_zero_forced_block_is_attained():
     assert sol.infimum == pytest.approx(5.0, rel=1e-12)
     assert sol.lower_bound == sol.infimum and sol.gap == 0.0
     assert an_fgm_solve(X, -X, use_closed_forms=False).attained is True
+    # the attained A = 0 needs no eps: eps = 10, above the eps-route's
+    # bound |B11|^2 = 5, is accepted as on the iterative route
+    sol = an_fgm_solve(X, -X, eps=10.0)
+    assert sol.attained is True and np.array_equal(sol.A, np.zeros((3, 3)))
+    assert an_fgm_solve(X, -X, eps=10.0, use_closed_forms=False).attained is True
+
+
+@pytest.mark.parametrize("d", [1e-12, 1e-9])
+def test_negative_case_with_forced_block_below_the_kernel_rule_is_psd(d):
+    # Z = [d, 0] is zero under KERNEL_TOL, so A = 0 attains; assembling
+    # the forced block without taking it off ker(A11) gave eigenvalues +-d
+    X = np.diag([1.0, 2.0, 0.0])
+    B = -X
+    B[2, 0] = d
+    for sol in (an_fgm_solve(X, B), an_fgm_solve(X, B, use_closed_forms=False)):
+        assert sol.attained is True
+        w = np.linalg.eigvalsh(sol.A)
+        assert w[0] >= -1e-9 * np.abs(w).max()
+    red = reduce_problem(X, B)
+    zero = make_subproblem_solution(np.zeros((2, 2)), red)
+    assert np.array_equal(assemble_optimal(red, zero).A, np.zeros((3, 3)))
 
 
 def _rank1(rng):
@@ -249,11 +286,15 @@ def test_tall_speedup_per_iteration():
 
 def test_rankdef_speedup_per_iteration():
     # r = n/2 at n = 100: the cost model predicts about 4x per
-    # iteration; allow measurement noise but require a clear multiple
+    # iteration; allow measurement noise but require a clear multiple.
+    # The reduced loop of an_fgm_solve runs without its certificate, so
+    # both medians come from the same 250 iterations
     X, B = gen(InstanceSpec("rank_deficient", 100, 100, 5))
     cfg = SolverConfig(max_iter=250)
     full = fgm_solve(X, B, init_diagonal(X, B), cfg)
-    fast = an_fgm_solve(X, B, cfg)
+    red = reduce_problem(X, B)
+    Xsub = np.diag(red.sigma1)
+    fast = fgm_solve(Xsub, red.B11, init_recursive(Xsub, red.B11), cfg, precondition=True)
     t_full = np.median(np.diff(full.trace.timestamps))
     t_fast = np.median(np.diff(fast.trace.timestamps))
     assert t_full / t_fast >= 3.0
