@@ -9,7 +9,9 @@ Four initializations of increasing sophistication:
   into blocks of condition number at most KAPPA_MAX, warm-start each
   block with the diagonal rule plus a short fast-gradient run, and
   assemble the results block-diagonally.  Cheap because each block is
-  well conditioned, and it strictly improves on the diagonal rule.
+  well conditioned, and it never trails the diagonal rule.  A split
+  that finds one block returns the diagonal rule: a warm-up run on the
+  whole subproblem is the solver's own job.
 """
 
 from dataclasses import dataclass
@@ -44,7 +46,11 @@ def init_diagonal(X, B):
     """Best nonnegative diagonal matrix, minimizing |D X - B|_F.
 
     Row i decouples: d_i = max(0, <B_i, X_i> / |X_i|^2), and rows of X
-    that vanish get d_i = 0.
+    that vanish get d_i = 0.  Each row of X is scaled by the power of two
+    2^e nearest above its largest entry before squaring, and d_i by 2^-e
+    after, so |X_i|^2 neither overflows nor underflows; both scalings are
+    exact, so d is bitwise that of the unscaled formula wherever the
+    unscaled |X_i|^2 is itself free of overflow and underflow.
     """
     X = as_matrix(X, "X")
     B = as_matrix(B, "B")
@@ -52,11 +58,13 @@ def init_diagonal(X, B):
         raise DimensionError(
             "X and B must have equal shapes, got %s and %s" % ((X.shape,), (B.shape,))
         )
-    row_sq = np.sum(X * X, axis=1)
-    cross = np.sum(B * X, axis=1)
+    e = np.frexp(np.abs(X).max(axis=1))[1]
+    Xs = np.ldexp(X, -e[:, None])
+    row_sq = np.sum(Xs * Xs, axis=1)
+    cross = np.sum(B * Xs, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         d = np.where(row_sq > 0.0, cross / np.where(row_sq > 0.0, row_sq, 1.0), 0.0)
-    return np.diag(np.maximum(d, 0.0))
+    return np.diag(np.maximum(np.ldexp(d, -e), 0.0))
 
 
 @dataclass(frozen=True)
@@ -112,12 +120,15 @@ def init_recursive(sigma1, B11):
 
     ``sigma1`` may be a 1-D vector of positive diagonal entries, in any
     order, or a diagonal matrix; anything non-diagonal raises
-    InapplicableError.  Entries are sorted ascending, split with
-    ``split_diagonal`` at KAPPA_MAX, and each block subproblem gets its
-    diagonal initialization refined by BLOCK_ITERS fast-gradient iterations
-    using the block's own curvature constants; the best block iterate
-    is kept, so the result never trails the plain diagonal rule.  The
-    budget is fixed: no caller's run budget reaches the blocks.
+    InapplicableError.  Entries are sorted ascending and split with
+    ``split_diagonal`` at KAPPA_MAX.  When the split finds one block,
+    the whole diagonal is within KAPPA_MAX and the result is
+    ``init_diagonal``: the base case, with no warm-up run.  Otherwise
+    each block subproblem gets its diagonal initialization refined by
+    BLOCK_ITERS fast-gradient iterations using the block's own
+    curvature constants; the best block iterate is kept, so the result
+    never trails the plain diagonal rule.  The budget is fixed: no
+    caller's run budget reaches the blocks.
     """
     sig = np.asarray(sigma1, dtype=float)
     if sig.ndim == 2:
@@ -132,9 +143,11 @@ def init_recursive(sigma1, B11):
     r = sig.size
     if B11.shape != (r, r):
         raise DimensionError("B11 must be %d-by-%d, got %s" % (r, r, (B11.shape,)))
-    bcfg = SolverConfig(max_iter=BLOCK_ITERS, record_trace=False)
     order = np.argsort(sig, kind="stable")
     part = split_diagonal(sig[order])
+    if len(part.blocks) == 1:
+        return init_diagonal(np.diag(sig), B11)
+    bcfg = SolverConfig(max_iter=BLOCK_ITERS, record_trace=False)
     A0 = np.zeros((r, r))
     for lo, hi in part.blocks:
         idx = order[lo:hi]

@@ -10,6 +10,7 @@ positive semidefinite matrix: symmetrize, then clip negative
 eigenvalues to zero.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -51,8 +52,8 @@ def symmetrize_inplace(A):
     Bitwise equal to ``sym_part(A)``, but works strip by strip: each
     block of 64 rows is averaged with the matching block of columns
     and written to both, so no second n-by-n array is allocated.  Used on
-    assembled n-by-n results, where the two temporaries of ``sym_part``
-    cost as much as forming the low-rank product itself.
+    an assembled n-by-n result with a user trailing block, where the two
+    temporaries of ``sym_part`` would cost as much as the assembly.
     """
     n = _require_square(A).shape[0]
     for i in range(0, n, 64):
@@ -65,8 +66,16 @@ def symmetrize_inplace(A):
 
 
 def fro_norm(M):
-    """Frobenius norm."""
-    return float(np.linalg.norm(as_matrix(M), "fro"))
+    """Frobenius norm, free of overflow and underflow in the sum of squares.
+
+    M is scaled by the power of two 2^e nearest above its largest entry
+    before squaring and the norm scaled back; both scalings are exact, so
+    the result is bitwise that of ``np.linalg.norm(M, "fro")`` wherever
+    that one neither overflows nor underflows.
+    """
+    M = as_matrix(M)
+    e = int(np.frexp(np.abs(M).max())[1])
+    return math.ldexp(float(np.linalg.norm(np.ldexp(M, -e), "fro")), e)
 
 
 class SymEig(NamedTuple):

@@ -15,7 +15,8 @@ variable Sigma1^{1/2} A11 Sigma1^{1/2} (``fgm_solve(..., precondition=True)``),
 which lowers the condition number of the subproblem from kappa^2 to about
 kappa / 2, kappa = sigma_1 / sigma_r: O(sqrt(kappa)) iterations instead
 of O(kappa).  The recursive initialization keeps the plain loop on its
-blocks, which it splits to condition numbers of at most 100.
+blocks, which it splits to condition numbers of at most 100; a
+subproblem that needs no split starts from the diagonal rule.
 
 ``solve`` is the user-facing dispatcher over the four methods and four
 initializations.
@@ -101,15 +102,13 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
     if use_closed_forms:
         if red.r == 1:
             return rank1_solve(X, B, eps=eps, red=red)
-        if red.r < red.n:
-            # the default eps is always admissible: Z = 0 is decided before a
-            # user eps is read, and then A = 0 attains the infimum
-            neg = negative_case_solution(red)
-            if neg is not None:
-                zero = make_subproblem_solution(np.zeros((red.r, red.r)), red)
-                if kernel_contained(zero, red):
-                    return _zero_solution(B)
-                return neg if eps is None else negative_case_solution(red, eps=eps)
+        if red.r < red.n and red.negative_case:
+            # Z = 0 is decided before eps is read or an eps-solution built:
+            # then A = 0 attains the infimum
+            zero = make_subproblem_solution(np.zeros((red.r, red.r)), red)
+            if kernel_contained(zero, red):
+                return _zero_solution(B)
+            return negative_case_solution(red, eps=eps)
 
     if sub_init not in INITIALIZERS:
         raise ConfigurationError("unknown initialization %r" % (sub_init,))

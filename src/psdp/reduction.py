@@ -18,8 +18,10 @@ any admissible eps of the infimum.
 
 Every block formula needs U2 only through the n-by-r product
 Y = U2 Z = (I - U1 U1.T) B V1 Sigma1^{-1}, which the reduction stores.
-A solution U [[A11, Z.T], [Z, Z W Z.T]] U.T is then assembled as
-[U1 Y] [[A11, I], [I, W]] [U1 Y].T in O(n^2 r), and neither U2 nor
+A solution U [[A11, Z.T], [Z, Z W Z.T]] U.T, with A11 = Q diag(lam) Q.T
+and W its (pseudo-)inverse, is then assembled as one product G G.T with
+the n-by-r factor G = U1 Q lam^{1/2} + Y Q lam^{-1/2}, in O(n^2 r); the
+result is exactly symmetric and PSD to rounding, and neither U2 nor
 any other n-by-n factor is formed; U2, V2 and Z are derived on demand
 for callers that ask for them.  A subproblem candidate is factored once,
 in ``make_subproblem_solution``; the attainment test, the dual bound
@@ -29,7 +31,8 @@ and the negative semidefinite case (``negative_case_solution``).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,6 +109,16 @@ class ReducedProblem:
     def Z(self):
         return self.U2.T @ self.Y
 
+    @cached_property
+    def negative_case(self):
+        """Whether U1.T (B X.T + X B.T) U1 is negative semidefinite, tested once.
+
+        One eigvalsh of ``negative_condition``, on the data's scale:
+        |B11 Sigma1 + Sigma1 B11.T|_2 <= 2 sigma1[0] |B11|_F.
+        """
+        w = np.linalg.eigvalsh(negative_condition(self))
+        return float(w[-1]) <= KERNEL_TOL * float(self.sigma1[0]) * fro_norm(self.B11)
+
 
 @dataclass(frozen=True)
 class SubproblemSolution:
@@ -156,7 +169,7 @@ def subproblem_residual(A11, red):
 
 def _kernel_excess(C, N, unit):
     """|C N|_F when it exceeds KERNEL_TOL * unit (range(N) not in ker(C)), else None."""
-    cn = float(np.linalg.norm(C @ N, "fro"))
+    cn = fro_norm(C @ N) if N.size else 0.0
     return cn if cn > KERNEL_TOL * unit else None
 
 
@@ -184,23 +197,30 @@ def kernel_contained(sub, red):
     return _kernel_excess(red.Y, sub.eig.Q[:, sub.rank_s:], unit) is None
 
 
-def _rotate_blocks(red, A11, W, dK=None):
+def _rotate_blocks(red, Q, lam, rank=None, dK=None):
     """Assemble U [[A11, Z.T], [Z, Z W Z.T + dK]] U.T in original coordinates.
 
-    Computed as [U1 Y] [[A11, I], [I, W]] [U1 Y].T in O(n^2 r), plus
-    U2 dK U2.T when a trailing excess dK is given; U2 is formed only
-    then.  W and dK are ignored when r = n.
+    A11 = Q diag(lam) Q.T and W = A11^+ on its leading ``rank`` pairs
+    (all of them by default).  Computed as G G.T with
+    G = U1 Q lam^{1/2} + Y Q lam^{-1/2}, the Y term taken on the leading
+    ``rank`` columns only: on kernel columns Y Q = 0 is the attainment
+    criterion, and dropping the term there takes Z off ker(A11), so A is
+    PSD to rounding.  numpy forms G G.T as one symmetric rank-r update
+    (SYRK), so A is exactly symmetric, in O(n^2 r) and with no other
+    n-by-n array.  U2 dK U2.T is added when a trailing excess dK is
+    given; U2 is formed only then.
     """
-    U1 = red.U1
-    if red.r == red.n:
-        return symmetrize_inplace(U1 @ A11 @ U1.T)
-    eye = np.eye(red.r)
-    H = np.hstack([U1, red.Y])
-    A = (H @ np.block([[A11, eye], [eye, W]])) @ H.T
+    root = np.sqrt(np.maximum(lam, 0.0))
+    G = red.U1 @ (Q * root)
+    if red.r < red.n:
+        s = lam.size if rank is None else rank
+        G[:, :s] += red.Y @ (Q[:, :s] / root[:s])
+    A = G @ G.T
     if dK is not None:
         U2 = red.U2
         A += U2 @ dK @ U2.T
-    return symmetrize_inplace(A)
+        symmetrize_inplace(A)
+    return A
 
 
 def _trailing_excess(red, K, W, name):
@@ -243,16 +263,21 @@ def dual_bound(red, sub):
     g(t Lambda) = g(0) - t a - t^2 b / 2 with a = <Lambda, M / D> and
     b = <Lambda, Lambda / D>, so t = max(0, -a / b) gains
     (1 - t) (a + (1 + t) b / 2) over g(Lambda); only K.T G K is factored.
+    g is the same in the units Sigma 2^-e, A11 2^e and Lambda 2^-e, with
+    2^e the power of two nearest above sigma1[0]: there D cannot overflow
+    or underflow, and the scalings are exact.
     """
-    sigma = red.sigma1
+    e = int(np.frexp(red.sigma1[0])[1])
+    sigma = np.ldexp(red.sigma1, -e)
     s2 = sigma * sigma
     denom = s2[:, None] + s2[None, :]
-    M = negative_condition(red)
+    M = np.ldexp(negative_condition(red), -e)
     # column-major, as a gathered block: BLAS rounds the strided view differently
     K = np.asfortranarray(sub.eig.Q[:, sub.rank_s:])
     Lam, gain = 0.0, 0.0
     if K.shape[1]:
-        Lam = K @ psd_project(K.T @ (sym_part(sub.A11hat) * denom - M) @ K) @ K.T
+        A11 = np.ldexp(sym_part(sub.A11hat), e)
+        Lam = K @ psd_project(K.T @ (A11 * denom - M) @ K) @ K.T
         a = float(np.sum(Lam * (M / denom)))
         b = float(np.sum(Lam * (Lam / denom)))
         t = max(0.0, -a / b) if b > 0.0 else 1.0
@@ -312,21 +337,18 @@ def assemble_optimal(red, sub, K=None):
     the default trailing block K = Z A11hat^+ Z.T the result has, among
     all optimizers, minimal rank (equal to rank of A11hat), minimal
     Frobenius norm and minimal spectral norm.  A user-supplied K must
-    satisfy K - Z A11hat^+ Z.T psd.  Z is first taken off the numerical
-    kernel N of A11hat (Y - Y N N.T), so A is PSD to rounding.
+    satisfy K - Z A11hat^+ Z.T psd.  Z is assembled on the range of
+    A11hat only, so it is taken off the numerical kernel, and A is PSD
+    to rounding.
     """
     if not kernel_contained(sub, red):
         raise NotAttainedError(
             "ker(A11hat) is not contained in ker(Z); the infimum is not attained, "
             "use assemble_epsilon"
         )
-    N = sub.eig.Q[:, sub.rank_s:]
-    if red.r < red.n and N.shape[1]:
-        red = replace(red, Y=red.Y - (red.Y @ N) @ N.T)
-    W = pinv_from_eig(sub.eig) if red.r < red.n else None
-    dK = None if K is None else _trailing_excess(red, K, W, "K")
+    dK = None if K is None else _trailing_excess(red, K, pinv_from_eig(sub.eig), "K")
     value = infimum_value(red, sub)
-    A = _rotate_blocks(red, sub.A11hat, W, dK)
+    A = _rotate_blocks(red, sub.eig.Q, sub.eig.lam, sub.rank_s, dK)
     return PsdpSolution(A=A, objective=value, infimum=value, attained=True)
 
 
@@ -362,17 +384,16 @@ def assemble_epsilon(red, sub, eps=None, K_eps=None):
     infimum = infimum_value(red, sub)
     eps = resolve_epsilon(eps, infimum, res)
     s = sub.rank_s
-    Qp, lam_p, N = sub.eig.Q[:, :s], sub.eig.lam[:s], sub.eig.Q[:, s:]
-    A11_eps, A11_inv = sub.A11hat, pinv_from_eig(sub.eig)
-    k = N.shape[1]
+    Q, lam = sub.eig
+    A11_eps = sub.A11hat
+    k = red.r - s
     if k:
-        beta = 4.0 * math.sqrt(k) * float(np.linalg.norm(red.sigma1)) * (res if res > 0 else 1.0)
-        upsilon = eps / beta
-        A11_eps = sym_part((Qp * lam_p) @ Qp.T + upsilon * (N @ N.T))
-        A11_inv = A11_inv + (N @ N.T) / upsilon
-    dK = None if K_eps is None else _trailing_excess(red, K_eps, A11_inv, "K_eps")
+        beta = 4.0 * math.sqrt(k) * fro_norm(red.sigma1[None]) * (res if res > 0 else 1.0)
+        lam = np.concatenate((lam[:s], np.full(k, eps / beta)))
+        A11_eps = sym_part((Q * lam) @ Q.T)
+    dK = None if K_eps is None else _trailing_excess(red, K_eps, (Q / lam) @ Q.T, "K_eps")
     objective = subproblem_residual(A11_eps, red) ** 2 + red.offset
-    A = _rotate_blocks(red, A11_eps, A11_inv, dK)
+    A = _rotate_blocks(red, Q, lam, dK=dK)
     return PsdpSolution(
         A=A, objective=objective, infimum=infimum, attained=False, epsilon=eps
     )
@@ -398,24 +419,21 @@ def negative_case_solution(red, X=None, B=None, eps=None):
     reports.  A_eps uses the leading block (eps / alpha) I with
     alpha = 4 sqrt(n) |sigma1| |U1.T B V1|_F (the norm factor dropped
     when it vanishes); lower_bound = infimum, gap 0.  Returns None when
-    the condition fails.  The condition is formed from ``red`` alone
-    (``negative_condition``), so X and B are not read.
+    the condition fails.  The condition is ``red.negative_case``, tested
+    once per reduction, so X and B are not read.
     """
     if red.r == red.n:
         raise InapplicableError("closed form requires rank(X) < n")
-    w = np.linalg.eigvalsh(negative_condition(red))
-    b_norm = float(np.linalg.norm(red.B11, "fro"))
-    # |B11 Sigma1 + Sigma1 B11.T|_2 <= 2 sigma1[0] |B11|_F: a scale set by the data
-    if float(w[-1]) > KERNEL_TOL * float(red.sigma1[0]) * b_norm:
+    if not red.negative_case:
         return None
+    b_norm = fro_norm(red.B11)
     infimum = b_norm**2 + red.offset
     eps = resolve_epsilon(eps, infimum, b_norm)
-    sig_norm = float(np.linalg.norm(red.sigma1))
+    sig_norm = fro_norm(red.sigma1[None])
     alpha = 4.0 * math.sqrt(red.n) * sig_norm * (b_norm if b_norm > 0 else 1.0)
     c = eps / alpha
-    A11_eps = c * np.eye(red.r)
-    objective = subproblem_residual(A11_eps, red) ** 2 + red.offset
-    A = _rotate_blocks(red, A11_eps, np.eye(red.r) / c)
+    objective = subproblem_residual(c * np.eye(red.r), red) ** 2 + red.offset
+    A = _rotate_blocks(red, np.eye(red.r), np.full(red.r, c))
     return PsdpSolution(
         A=A, objective=objective, infimum=infimum, attained=False, epsilon=eps,
         lower_bound=infimum, gap=0.0,
@@ -454,11 +472,11 @@ def rank1_solve(X, B, eps=None, red=None):
     # t = u.T B v, and |w| from Y = w / sigma
     sigma = float(red.sigma1[0])
     t = float(red.B11[0, 0])
-    w_norm = sigma * float(np.linalg.norm(red.Y))
+    w_norm = sigma * fro_norm(red.Y)
 
     if t > 0.0:
         a = t / sigma
-        A = _rotate_blocks(red, np.array([[a]]), np.array([[1.0 / a]]))
+        A = _rotate_blocks(red, np.ones((1, 1)), np.array([a]))
         return PsdpSolution(
             A=A, objective=red.offset, infimum=red.offset, attained=True,
             lower_bound=red.offset, gap=0.0,
@@ -473,16 +491,21 @@ def rank1_solve(X, B, eps=None, red=None):
         )
 
     eps = resolve_epsilon(eps, infimum)
-    # smallest n0 with sigma^2/n0^2 - 2 sigma t/n0 < eps: closed-form floor
+    def excess(n0):
+        # sigma^2/n0^2 - 2 sigma t/n0, with no sigma^2 to overflow
+        q = sigma / n0
+        return q * (q - 2.0 * t)
+
+    # smallest n0 with excess(n0) < eps: closed-form floor
     # (y_star = (t + sqrt(t^2 + eps)) / sigma, without cancellation for t <= 0),
     # then walk up to absorb rounding, by more than the float spacing of n0
     y_star = eps / (sigma * (math.sqrt(t * t + eps) - t))
     n0 = max(1, int(math.floor(1.0 / y_star)))
-    while sigma**2 / n0**2 - 2.0 * sigma * t / n0 >= eps:
+    while excess(n0) >= eps:
         n0 += max(1, n0 >> 50)
     a = 1.0 / n0
-    A = _rotate_blocks(red, np.array([[a]]), np.array([[1.0 / a]]))
-    objective = infimum + sigma**2 / n0**2 - 2.0 * sigma * t / n0
+    A = _rotate_blocks(red, np.ones((1, 1)), np.array([a]))
+    objective = infimum + excess(n0)
     return PsdpSolution(
         A=A, objective=objective, infimum=infimum, attained=False, epsilon=eps,
         lower_bound=infimum, gap=0.0,

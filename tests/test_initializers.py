@@ -7,6 +7,8 @@ from psdp import (
     DimensionError,
     InapplicableError,
     ParameterError,
+    SolverConfig,
+    fgm_solve,
     init_diagonal,
     init_recursive,
     init_unconstrained,
@@ -15,6 +17,7 @@ from psdp import (
     split_diagonal,
 )
 from psdp.bench import LADDER
+from psdp.initializers import BLOCK_ITERS
 
 
 def test_init_zero():
@@ -158,3 +161,41 @@ def test_init_recursive_rejects_bad_input():
         init_recursive(np.array([1.0, -2.0, 3.0]), B)
     with pytest.raises(DimensionError):
         init_recursive(np.array([1.0, 2.0]), B)  # size mismatch with B
+
+
+def test_init_recursive_one_block_is_the_diagonal_rule():
+    # sigma within KAPPA_MAX splits into one block: no warm-up run, the
+    # diagonal rule itself, also for unsorted input
+    rng = np.random.default_rng(23)
+    d = rng.permutation(np.linspace(1.0, 90.0, 20))
+    assert len(split_diagonal(np.sort(d)).blocks) == 1
+    B = rng.standard_normal((20, 20))
+    assert np.array_equal(init_recursive(d, B), init_diagonal(np.diag(d), B))
+
+
+def test_init_recursive_warms_up_every_block_of_a_split():
+    # the ladder splits into blocks; each keeps its BLOCK_ITERS warm-up
+    rng = np.random.default_rng(29)
+    d = rng.permutation(LADDER)
+    B = rng.standard_normal((37, 37))
+    order = np.argsort(d, kind="stable")
+    part = split_diagonal(d[order])
+    assert len(part.blocks) > 1
+    ref = np.zeros((37, 37))
+    cfg = SolverConfig(max_iter=BLOCK_ITERS, record_trace=False)
+    for lo, hi in part.blocks:
+        idx = order[lo:hi]
+        Xb, Bb = np.diag(d[idx]), B[np.ix_(idx, idx)]
+        ref[np.ix_(idx, idx)] = fgm_solve(Xb, Bb, init_diagonal(Xb, Bb), cfg).best_A
+    A = init_recursive(d, B)
+    assert np.array_equal(A, ref)
+    assert not np.array_equal(A, init_diagonal(np.diag(d), B))
+
+
+@pytest.mark.parametrize("c", [1e160, 1e-160])
+def test_init_diagonal_at_extreme_x_scale(c):
+    # rows are scaled by a power of two before squaring: (cX, B) gives D / c
+    rng = np.random.default_rng(31)
+    X, B = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
+    D = init_diagonal(X, B)
+    assert np.allclose(init_diagonal(c * X, B) * c, D, rtol=1e-14, atol=0.0)

@@ -17,8 +17,10 @@ from psdp import (
     reduce_problem,
     solve,
 )
-from psdp import pipeline
+from psdp import pipeline, reduction
 from psdp.bench import InstanceSpec, gen
+from psdp.initializers import KAPPA_MAX
+from psdp.solvers import GAP_TOL
 
 
 def test_full_rank_instance_attained_and_consistent():
@@ -146,6 +148,25 @@ def test_negative_case_with_forced_block_below_the_kernel_rule_is_psd(d):
     assert np.array_equal(assemble_optimal(red, zero).A, np.zeros((3, 3)))
 
 
+def test_negative_route_tests_and_builds_once(monkeypatch):
+    # Z = 0: A = 0 is returned and no eps-solution is assembled; Z != 0
+    # with a user eps: one condition eigvalsh and one assembly
+    builds, tests = [], []
+    rotate, eigvalsh = reduction._rotate_blocks, np.linalg.eigvalsh
+    monkeypatch.setattr(reduction, "_rotate_blocks", lambda *a, **k: builds.append(1) or rotate(*a, **k))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: tests.append(1) or eigvalsh(M))
+    X = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+    for eps in (None, 0.5):
+        assert an_fgm_solve(X, -X, eps=eps).attained is True
+    assert builds == [] and len(tests) == 2
+    del tests[:]
+    B = -X
+    B[2] = [0.3, -0.7]
+    sol = an_fgm_solve(X, B, eps=1e-3)
+    assert sol.attained is False and sol.epsilon == 1e-3
+    assert builds == [1] and tests == [1]
+
+
 def _rank1(rng):
     return np.outer(rng.standard_normal(6), rng.standard_normal(5)), rng.standard_normal((6, 5))
 
@@ -259,6 +280,18 @@ def test_mostly_unattained_on_tall_instances():
     assert unattained >= 9
 
 
+def test_one_block_start_still_certifies_at_the_first_check():
+    # sigma1 of a rank-deficient tall X fits in one block, so the reduced
+    # run starts from the diagonal rule with no warm-up run, and its first
+    # gap check (iteration 50) certifies
+    X, B = gen(InstanceSpec("rank_deficient", 120, 40, 7))
+    red = reduce_problem(X, B)
+    assert red.r == 20 and red.sigma1[0] / red.sigma1[-1] <= KAPPA_MAX
+    sol = an_fgm_solve(X, B)
+    assert len(sol.trace) == 51
+    assert sol.gap <= GAP_TOL
+
+
 def test_reduced_subproblem_is_strongly_convex():
     # even for rank-deficient X the reduced data matrix is positive
     # definite, so the fast method regains its linear rate
@@ -274,11 +307,15 @@ def test_reduced_subproblem_is_strongly_convex():
 
 def test_tall_speedup_per_iteration():
     # n = 2m: the reduction halves the eigendecomposition size, which
-    # should at least double per-iteration speed
+    # should at least double per-iteration speed.  The reduced loop of
+    # an_fgm_solve runs without its certificate, so both medians come
+    # from the same 250 iterations
     X, B = gen(InstanceSpec("gaussian", 100, 50, 5))
     cfg = SolverConfig(max_iter=250)
     full = fgm_solve(X, B, init_diagonal(X, B), cfg)
-    fast = an_fgm_solve(X, B, cfg)
+    red = reduce_problem(X, B)
+    Xsub = np.diag(red.sigma1)
+    fast = fgm_solve(Xsub, red.B11, init_recursive(Xsub, red.B11), cfg, precondition=True)
     t_full = np.median(np.diff(full.trace.timestamps))
     t_fast = np.median(np.diff(fast.trace.timestamps))
     assert t_full / t_fast >= 2.0

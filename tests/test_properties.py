@@ -106,7 +106,10 @@ def test_orthogonal_covariance(shape):
 
 
 # (c, d) of the scaled instance (cX, dB)
-SCALINGS = ((1e-6, 1.0), (1.0, 1e-6), (1e6, 1.0), (1.0, 1e6), (1e100, 1.0), (1.0, 1e-100))
+SCALINGS = (
+    (1e-6, 1.0), (1.0, 1e-6), (1e6, 1.0), (1.0, 1e6), (1e100, 1.0), (1.0, 1e-100),
+    (1e160, 1.0),
+)
 
 
 @SETTINGS
@@ -136,6 +139,26 @@ def test_scale_covariance(shape):
         elif rank >= 2:
             residual = float(np.linalg.norm(A @ Xs - Bs, "fro")) ** 2
             assert residual < sol2.infimum + sol2.epsilon
+
+
+@pytest.mark.parametrize("family, n, m", [("gaussian", 8, 8), ("rank_deficient", 30, 20)])
+def test_scale_covariance_at_tiny_x_scale(family, n, m):
+    # (1e-160 X, B) without overflow: the kernel rule reads |B11 / sigma1|,
+    # about 1e160.  Not in SCALINGS: there a rank-one eps-solution has a
+    # trailing block (n0 / sigma^2) w w.T with n0 >= 1, past the float range
+    c = 1e-160
+    X, B = gen(InstanceSpec(family, n, m, 0))
+    sol, sol2 = an_fgm_solve(X, B), an_fgm_solve(c * X, B)
+    assert route(X, B, sol) == route(c * X, B, sol2)
+    assert sol.attained == sol2.attained
+    assert np.isfinite(sol2.A).all()
+    width = max(sol.infimum - sol.lower_bound, sol2.infimum - sol2.lower_bound)
+    assert abs(sol2.infimum - sol.infimum) <= width + 1e-12 * sol.infimum
+    if sol.attained:
+        assert np.allclose(sol2.A * c, sol.A, rtol=0.0, atol=1e-6 * np.abs(sol.A).max())
+    else:
+        residual = float(np.linalg.norm(sol2.A @ (c * X) - B, "fro")) ** 2
+        assert residual < sol2.infimum + sol2.epsilon
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -1,5 +1,7 @@
 """Reduction, attainment criterion, closed-form assemblies."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -670,3 +672,106 @@ def test_negative_condition_matches_dense_form(n, m, r):
         red = reduce_problem(X, B)
         dense = red.U1.T @ (B @ X.T + X @ B.T) @ red.U1
         assert _rel(negative_condition(red), dense) <= 1e-12
+
+
+def _block_formula(red, A11, W, dK=None):
+    """[U1 Y] [[A11, I], [I, W]] [U1 Y].T + U2 dK U2.T, the assembly before G G.T."""
+    H = np.hstack([red.U1, red.Y])
+    eye = np.eye(red.r)
+    A = H @ np.block([[A11, eye], [eye, W]]) @ H.T
+    return A if dK is None else A + red.U2 @ dK @ red.U2.T
+
+
+def _assembly_cases():
+    """(name, A, block-formula reference, user K given) on every assembly route."""
+    rng = np.random.default_rng(71)
+    cases = []
+    # exact and eps assembly from a positive definite candidate, default and user K
+    X, B = rank_deficient_instance(rng, 9, 5, 3)
+    red = reduce_problem(X, B)
+    S = rng.standard_normal((3, 3))
+    cand = S @ S.T + 0.1 * np.eye(3)
+    sub = make_subproblem_solution(cand, red)
+    W = np.linalg.inv(cand)
+    Z = red.Z
+    T = rng.standard_normal((6, 6))
+    K = Z @ W @ Z.T + T @ T.T
+    eps = 0.5 * min(1.0, sub.residual**2)
+    cases.append(("optimal", assemble_optimal(red, sub).A, _block_formula(red, cand, W), False))
+    cases.append(("optimal K", assemble_optimal(red, sub, K=K).A,
+                  _block_formula(red, cand, W, K - Z @ W @ Z.T), True))
+    # with no kernel the eps route keeps the candidate and its inverse
+    cases.append(("eps", assemble_epsilon(red, sub, eps).A, _block_formula(red, cand, W), False))
+    cases.append(("eps K", assemble_epsilon(red, sub, eps, K_eps=K).A,
+                  _block_formula(red, cand, W, K - Z @ W @ Z.T), True))
+    # exact assembly with a kernel inside ker(Z): Y is taken off the kernel
+    X, B = rank_deficient_instance(rng, 6, 5, 4)
+    red = reduce_problem(X, B)
+    v = np.linalg.svd(red.Z)[2][-1]
+    Wk = np.linalg.svd(np.eye(4) - np.outer(v, v))[0][:, :3]
+    cand = Wk @ np.diag([0.5, 1.0, 2.0]) @ Wk.T
+    sub = make_subproblem_solution(cand, red)
+    assert sub.rank_s == 3 and kernel_contained(sub, red)
+    N = sub.eig.Q[:, 3:]
+    red_off = replace(red, Y=red.Y - red.Y @ N @ N.T)
+    cases.append(("optimal kernel", assemble_optimal(red, sub).A,
+                  _block_formula(red_off, cand, pinv_psd(cand)), False))
+    # eps assembly that lifts a kernel outside ker(Z) to upsilon
+    sub = make_subproblem_solution(2.0 * np.outer(v, v), red)
+    assert not kernel_contained(sub, red)
+    eps = 0.5 * min(1.0, sub.residual**2)
+    k = red.r - sub.rank_s
+    upsilon = eps / (4.0 * np.sqrt(k) * np.linalg.norm(red.sigma1) * sub.residual)
+    Qp, lam_p, Nk = sub.eig.Q[:, :sub.rank_s], sub.eig.lam[:sub.rank_s], sub.eig.Q[:, sub.rank_s:]
+    A11_eps = (Qp * lam_p) @ Qp.T + upsilon * Nk @ Nk.T
+    cases.append(("eps kernel", assemble_epsilon(red, sub, eps).A,
+                  _block_formula(red, A11_eps, np.linalg.inv(A11_eps)), False))
+    # r = n: A = U1 A11 U1.T
+    X, B = rng.standard_normal((5, 7)), rng.standard_normal((5, 7))
+    red = reduce_problem(X, B)
+    S = rng.standard_normal((5, 5))
+    cand = S @ S.T
+    sub = make_subproblem_solution(cand, red)
+    cases.append(("full rank", assemble_optimal(red, sub).A,
+                  _block_formula(red, cand, np.linalg.inv(cand)), False))
+    # negative case: leading block c I
+    X, _ = rank_deficient_instance(rng, 8, 5, 3)
+    U = np.linalg.svd(X)[0]
+    B = -X + U[:, 3:] @ rng.standard_normal((5, 5))
+    red = reduce_problem(X, B)
+    c = 0.1 / (4.0 * np.sqrt(8) * np.linalg.norm(red.sigma1) * np.linalg.norm(red.B11))
+    cases.append(("negative", negative_case_solution(red, eps=0.1).A,
+                  _block_formula(red, c * np.eye(3), np.eye(3) / c), False))
+    # rank one, both branches: leading coefficient a = t / sigma and a = 1 / n0
+    u, v1 = rng.standard_normal(7), rng.standard_normal(4)
+    X = np.outer(u, v1)
+    for sign in (1.0, -1.0):
+        B = rng.standard_normal((7, 4))
+        red = reduce_problem(X, B)
+        t, sigma = float(red.B11[0, 0]), float(red.sigma1[0])
+        B = B + (sign * abs(t) - t) * np.outer(red.U1[:, 0], red.V1[:, 0])
+        red = reduce_problem(X, B)
+        t = float(red.B11[0, 0])
+        if sign > 0:
+            a = t / sigma
+        else:
+            n0 = 1
+            while sigma**2 / n0**2 - 2.0 * sigma * t / n0 >= 1e-2:
+                n0 += 1
+            a = 1.0 / n0
+        sol = rank1_solve(X, B, eps=1e-2)
+        assert sol.attained is (sign > 0)
+        cases.append(("rank1 %+d" % sign, sol.A, _block_formula(red, np.array([[a]]), np.array([[1.0 / a]])), False))
+    return cases
+
+
+@pytest.mark.parametrize("case", _assembly_cases(), ids=lambda c: c[0])
+def test_assembly_is_the_block_formula_symmetric_and_psd(case):
+    # every route assembles G G.T: exactly symmetric, PSD to rounding,
+    # and equal to the block formula it replaced
+    _, A, ref, user_k = case
+    if not user_k:
+        assert np.array_equal(A, A.T)
+    w = np.linalg.eigvalsh(A)
+    assert w[0] >= -1e-12 * np.abs(w).max()
+    assert np.linalg.norm(A - ref) <= 1e-12 * np.linalg.norm(ref)
