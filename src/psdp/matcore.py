@@ -34,35 +34,12 @@ def as_matrix(M, name="matrix"):
     return A
 
 
-def _require_square(A, name="matrix"):
-    if A.shape[0] != A.shape[1]:
-        raise DimensionError("%s must be square, got shape %s" % (name, (A.shape,)))
-    return A
-
-
 def sym_part(M):
     """Symmetric part (M + M.T) / 2 of a square matrix."""
-    M = _require_square(as_matrix(M))
+    M = as_matrix(M)
+    if M.shape[0] != M.shape[1]:
+        raise DimensionError("matrix must be square, got shape %s" % (M.shape,))
     return (M + M.T) / 2.0
-
-
-def symmetrize_inplace(A):
-    """Overwrite the square float array A with (A + A.T) / 2 and return it.
-
-    Bitwise equal to ``sym_part(A)``, but works strip by strip: each
-    block of 64 rows is averaged with the matching block of columns
-    and written to both, so no second n-by-n array is allocated.  Used on
-    an assembled n-by-n result with a user trailing block, where the two
-    temporaries of ``sym_part`` would cost as much as the assembly.
-    """
-    n = _require_square(A).shape[0]
-    for i in range(0, n, 64):
-        j = min(i + 64, n)
-        S = A[i:j, i:] + A[i:, i:j].T
-        S /= 2.0
-        A[i:j, i:] = S
-        A[i:, i:j] = S.T
-    return A
 
 
 def fro_norm(M):
@@ -74,8 +51,10 @@ def fro_norm(M):
     that one neither overflows nor underflows.
     """
     M = as_matrix(M)
-    e = int(np.frexp(np.abs(M).max())[1])
-    return math.ldexp(float(np.linalg.norm(np.ldexp(M, -e), "fro")), e)
+    e = math.frexp(float(np.abs(M).max()))[1]
+    # the sum np.linalg.norm forms, without its per-call dispatch
+    S = np.ldexp(M, -e).ravel(order="K")
+    return math.ldexp(math.sqrt(float(S.dot(S))), e)
 
 
 class SymEig(NamedTuple):

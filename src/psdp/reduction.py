@@ -23,10 +23,12 @@ and W its (pseudo-)inverse, is then assembled as one product G G.T with
 the n-by-r factor G = U1 Q lam^{1/2} + Y Q lam^{-1/2}, in O(n^2 r); the
 result is exactly symmetric and PSD to rounding, and neither U2 nor
 any other n-by-n factor is formed; U2, V2 and Z are derived on demand
-for callers that ask for them.  A subproblem candidate is factored once,
-in ``make_subproblem_solution``; the attainment test, the dual bound
-and both assemblies read that factorization.  Two instance classes
-admit closed forms without any iteration: rank-one X (``rank1_solve``)
+for callers that ask for them, and a user trailing block joins G as
+extra columns U2 F.  A subproblem candidate is factored once, in
+``make_subproblem_solution``; the attainment test, the dual bound and
+both assemblies read that factorization.  Two instance classes give the
+subproblem minimizer without any iteration, as a diagonal candidate that
+goes through the same test and assemblies: rank-one X (``rank1_solve``)
 and the negative semidefinite case (``negative_case_solution``).
 """
 
@@ -58,7 +60,6 @@ from .matcore import (
     psd_project,
     svd,
     sym_part,
-    symmetrize_inplace,
 )
 from .matcore import pinv_psd  # noqa: F401  (unused here; perfbench's tracer wraps this name)
 from .solution import PsdpSolution
@@ -174,13 +175,22 @@ def _kernel_excess(C, N, unit):
 
 
 def make_subproblem_solution(A11hat, red):
-    """Wrap a candidate A11hat with its residual, numerical rank and eigendecomposition."""
+    """Wrap a candidate A11hat with its residual, numerical rank and eigendecomposition.
+
+    A diagonal candidate (the closed forms') is factored by a stable
+    descending sort: Q is a permutation and no eigensolver runs.
+    """
     A11hat = as_matrix(A11hat, "A11hat")
     if A11hat.shape != (red.r, red.r):
         raise DimensionError(
             "A11hat must be %d-by-%d, got %s" % (red.r, red.r, (A11hat.shape,))
         )
-    eig = eigh_sorted(A11hat)
+    d = np.diagonal(A11hat)
+    if np.count_nonzero(A11hat) == np.count_nonzero(d):
+        order = np.argsort(-d, kind="stable")
+        eig = SymEig(np.eye(red.r)[:, order], d[order])
+    else:
+        eig = eigh_sorted(A11hat)
     residual = subproblem_residual(A11hat, red)
     return SubproblemSolution(A11hat, residual, numerical_rank(eig.lam), eig)
 
@@ -189,42 +199,40 @@ def kernel_contained(sub, red):
     """Whether ker(A11hat) lies inside ker(Z), the attainment criterion.
 
     Vacuously true when r = n (Z is empty) or A11hat is positive
-    definite under KERNEL_TOL (no kernel directions).  Reads Y = U2 Z,
-    whose norm |Y N|_F equals |Z N|_F, against the data's unit
-    |B V1 Sigma1^{-1}|_F, the size of Y when it is not zero.
+    definite under KERNEL_TOL (no kernel directions; then the unit is not
+    formed).  Reads Y = U2 Z, whose norm |Y N|_F equals |Z N|_F, against
+    the data's unit |B V1 Sigma1^{-1}|_F, the size of Y when it is not zero.
     """
-    unit = math.hypot(fro_norm(red.B11 / red.sigma1), fro_norm(red.Y))
-    return _kernel_excess(red.Y, sub.eig.Q[:, sub.rank_s:], unit) is None
+    N = sub.eig.Q[:, sub.rank_s:]
+    unit = math.hypot(fro_norm(red.B11 / red.sigma1), fro_norm(red.Y)) if N.size else 0.0
+    return _kernel_excess(red.Y, N, unit) is None
 
 
-def _rotate_blocks(red, Q, lam, rank=None, dK=None):
-    """Assemble U [[A11, Z.T], [Z, Z W Z.T + dK]] U.T in original coordinates.
+def _rotate_blocks(red, Q, lam, rank=None, F=None):
+    """Assemble U [[A11, Z.T], [Z, Z W Z.T + F F.T]] U.T in original coordinates.
 
     A11 = Q diag(lam) Q.T and W = A11^+ on its leading ``rank`` pairs
     (all of them by default).  Computed as G G.T with
     G = U1 Q lam^{1/2} + Y Q lam^{-1/2}, the Y term taken on the leading
     ``rank`` columns only: on kernel columns Y Q = 0 is the attainment
     criterion, and dropping the term there takes Z off ker(A11), so A is
-    PSD to rounding.  numpy forms G G.T as one symmetric rank-r update
-    (SYRK), so A is exactly symmetric, in O(n^2 r) and with no other
-    n-by-n array.  U2 dK U2.T is added when a trailing excess dK is
-    given; U2 is formed only then.
+    PSD to rounding.  A factor F of a user trailing excess joins G as
+    the extra columns U2 F; U2 is formed only then.  numpy forms G G.T
+    as one symmetric rank update (SYRK), so every A is exactly
+    symmetric, in O(n^2 r) without F and with no other n-by-n array.
     """
     root = np.sqrt(np.maximum(lam, 0.0))
     G = red.U1 @ (Q * root)
     if red.r < red.n:
         s = lam.size if rank is None else rank
         G[:, :s] += red.Y @ (Q[:, :s] / root[:s])
-    A = G @ G.T
-    if dK is not None:
-        U2 = red.U2
-        A += U2 @ dK @ U2.T
-        symmetrize_inplace(A)
-    return A
+    if F is not None:
+        G = np.hstack((G, red.U2 @ F))
+    return G @ G.T
 
 
-def _trailing_excess(red, K, W, name):
-    """K - Z W Z.T for a user trailing block K, which must be PSD."""
+def _trailing_factor(red, K, W, name):
+    """F with F F.T = K - Z W Z.T for a user trailing block K; the difference must be PSD."""
     if red.r == red.n:
         raise DimensionError("no trailing block exists when X has full row rank")
     K = as_matrix(K, name)
@@ -237,7 +245,8 @@ def _trailing_excess(red, K, W, name):
         raise ConstraintViolationError(
             "%s minus the minimal trailing block must be positive semidefinite" % name
         )
-    return dK
+    Q, lam = eigh_sorted(dK)
+    return Q * np.sqrt(np.maximum(lam, 0.0))
 
 
 def infimum_value(red, sub):
@@ -346,9 +355,9 @@ def assemble_optimal(red, sub, K=None):
             "ker(A11hat) is not contained in ker(Z); the infimum is not attained, "
             "use assemble_epsilon"
         )
-    dK = None if K is None else _trailing_excess(red, K, pinv_from_eig(sub.eig), "K")
+    F = None if K is None else _trailing_factor(red, K, pinv_from_eig(sub.eig), "K")
     value = infimum_value(red, sub)
-    A = _rotate_blocks(red, sub.eig.Q, sub.eig.lam, sub.rank_s, dK)
+    A = _rotate_blocks(red, sub.eig.Q, sub.eig.lam, sub.rank_s, F)
     return PsdpSolution(A=A, objective=value, infimum=value, attained=True)
 
 
@@ -369,6 +378,26 @@ def resolve_epsilon(eps, infimum, residual=None):
     return eps
 
 
+def _lift(red, sub, eps, count, K_eps=None):
+    """``assemble_epsilon`` with sqrt(count) in beta: r - s there, n for the negative case."""
+    res = sub.residual
+    infimum = infimum_value(red, sub)
+    eps = resolve_epsilon(eps, infimum, res)
+    s = sub.rank_s
+    Q, lam = sub.eig
+    A11_eps = sub.A11hat
+    if s < red.r:
+        beta = 4.0 * math.sqrt(count) * fro_norm(red.sigma1[None]) * (res if res > 0 else 1.0)
+        lam = np.concatenate((lam[:s], np.full(red.r - s, eps / beta)))
+        A11_eps = sym_part((Q * lam) @ Q.T)
+    F = None if K_eps is None else _trailing_factor(red, K_eps, (Q / lam) @ Q.T, "K_eps")
+    objective = subproblem_residual(A11_eps, red) ** 2 + red.offset
+    A = _rotate_blocks(red, Q, lam, F=F)
+    return PsdpSolution(
+        A=A, objective=objective, infimum=infimum, attained=False, epsilon=eps
+    )
+
+
 def assemble_epsilon(red, sub, eps=None, K_eps=None):
     """Build a feasible A_eps with objective < infimum + eps.
 
@@ -380,23 +409,7 @@ def assemble_epsilon(red, sub, eps=None, K_eps=None):
     default of ``resolve_epsilon``.  The call is legal even when the
     infimum is attained; it then returns a nearby feasible point.
     """
-    res = sub.residual
-    infimum = infimum_value(red, sub)
-    eps = resolve_epsilon(eps, infimum, res)
-    s = sub.rank_s
-    Q, lam = sub.eig
-    A11_eps = sub.A11hat
-    k = red.r - s
-    if k:
-        beta = 4.0 * math.sqrt(k) * fro_norm(red.sigma1[None]) * (res if res > 0 else 1.0)
-        lam = np.concatenate((lam[:s], np.full(k, eps / beta)))
-        A11_eps = sym_part((Q * lam) @ Q.T)
-    dK = None if K_eps is None else _trailing_excess(red, K_eps, (Q / lam) @ Q.T, "K_eps")
-    objective = subproblem_residual(A11_eps, red) ** 2 + red.offset
-    A = _rotate_blocks(red, Q, lam, dK=dK)
-    return PsdpSolution(
-        A=A, objective=objective, infimum=infimum, attained=False, epsilon=eps
-    )
+    return _lift(red, sub, eps, red.r - sub.rank_s, K_eps)
 
 
 def negative_condition(red):
@@ -413,52 +426,52 @@ def negative_case_solution(red, X=None, B=None, eps=None):
 
     Requires r < n; r = n raises InapplicableError.  When the condition
     holds the subproblem minimizer is A11 = 0 and the infimum equals
-    |U1.T B V1|^2 + |B V2|^2.  The route always returns an eps-solution
-    with attained=False, which is exact only when Z != 0: when Z = 0
-    (B = -X, say) A = 0 attains the infimum, as ``an_fgm_solve``
-    reports.  A_eps uses the leading block (eps / alpha) I with
+    |U1.T B V1|^2 + |B V2|^2.  The route returns the eps-lift of
+    ``assemble_epsilon`` at that zero candidate, with sqrt(n) in place
+    of sqrt(r - s): the leading block is (eps / alpha) I with
     alpha = 4 sqrt(n) |sigma1| |U1.T B V1|_F (the norm factor dropped
-    when it vanishes); lower_bound = infimum, gap 0.  Returns None when
-    the condition fails.  The condition is ``red.negative_case``, tested
-    once per reduction, so X and B are not read.
+    when it vanishes); lower_bound = infimum, gap 0.  It reports
+    attained=False, which is exact only when Z != 0: when Z = 0 (B = -X,
+    say) A = 0 attains the infimum, as ``an_fgm_solve`` reports.
+    Returns None when the condition fails.  The condition is
+    ``red.negative_case``, tested once per reduction, so X and B are not
+    read.
     """
     if red.r == red.n:
         raise InapplicableError("closed form requires rank(X) < n")
     if not red.negative_case:
         return None
-    b_norm = fro_norm(red.B11)
-    infimum = b_norm**2 + red.offset
-    eps = resolve_epsilon(eps, infimum, b_norm)
-    sig_norm = fro_norm(red.sigma1[None])
-    alpha = 4.0 * math.sqrt(red.n) * sig_norm * (b_norm if b_norm > 0 else 1.0)
-    c = eps / alpha
-    objective = subproblem_residual(c * np.eye(red.r), red) ** 2 + red.offset
-    A = _rotate_blocks(red, np.eye(red.r), np.full(red.r, c))
-    return PsdpSolution(
-        A=A, objective=objective, infimum=infimum, attained=False, epsilon=eps,
-        lower_bound=infimum, gap=0.0,
-    )
+    zero = make_subproblem_solution(np.zeros((red.r, red.r)), red)
+    out = _lift(red, zero, eps, red.n)
+    out.lower_bound, out.gap = out.infimum, 0.0
+    return out
 
 
 def rank1_solve(X, B, eps=None, red=None):
     """Closed-form solution when X has numerical rank one.
 
     With X = sigma u v.T, t = u.T B v and w the components of B v
-    orthogonal to u, three regimes apply:
+    orthogonal to u, the subproblem minimizer is max(t, 0) / sigma, and
+    ``assemble_optimal`` of that candidate covers both attained regimes:
 
-    * t > 0: attained, infimum |B V2|^2, leading coefficient t / sigma
-      with coupling w / sigma and minimal trailing block w w.T / (sigma t);
-    * t <= 0 and w = 0: attained by A = 0, infimum t^2 + |B V2|^2;
+    * t > 0: infimum |B V2|^2, leading coefficient t / sigma with
+      coupling w / sigma and minimal trailing block w w.T / (sigma t);
+    * t <= 0 and w = 0 under ``kernel_contained``: A = 0, infimum
+      t^2 + |B V2|^2;
     * t <= 0 and w != 0: not attained; an eps-solution lifts the leading
-      coefficient to 1 / n0 with the smallest integer n0 satisfying
-      sigma^2 / n0^2 - 2 sigma t / n0 < eps, and trailing block
-      (n0 / sigma^2) w w.T.
+      coefficient to a = 1 / n0 with the smallest integer n0 satisfying
+      sigma^2 / n0^2 - 2 sigma t / n0 < eps (1 - 2^-7), which leaves
+      eps / 128 for the rounding of A, and trailing block (n0 / sigma^2) w w.T.
+      When n0 = 1 already satisfies it (tiny sigma), a is instead the
+      root above 1 of sigma^2 a^2 - 2 sigma t a = eps (1 - 2^-7), which
+      keeps the trailing block in the float range.
 
-    For the unattained regime any eps > 0 is admissible.  The branch is
-    the same under (cX, dB); the eps-solution, a = 1 / n0, is not.  The
-    infimum is exact: lower_bound = infimum, gap 0.  Inputs of rank other than
-    one raise InapplicableError.  ``red``, when given, is the
-    ReducedProblem of (X, B) and is used instead of reducing again.
+    The infimum min(t, 0)^2 + |B V2|^2 is exact, not the candidate's
+    rounded residual: lower_bound = infimum, gap 0.  Any eps > 0 is
+    admissible.  The branch is the same under (cX, dB); the eps-solution
+    is not.  Inputs of rank other than one raise InapplicableError.
+    ``red``, when given, is the ReducedProblem of (X, B) and is used
+    instead of reducing again.
     """
     if red is None:
         try:
@@ -469,44 +482,41 @@ def rank1_solve(X, B, eps=None, red=None):
             ) from exc
     if red.r != 1:
         raise InapplicableError("closed form requires numerical rank 1, got rank %d" % red.r)
-    # t = u.T B v, and |w| from Y = w / sigma
     sigma = float(red.sigma1[0])
     t = float(red.B11[0, 0])
-    w_norm = sigma * fro_norm(red.Y)
-
-    if t > 0.0:
-        a = t / sigma
-        A = _rotate_blocks(red, np.ones((1, 1)), np.array([a]))
+    infimum = min(t, 0.0) ** 2 + red.offset
+    sub = make_subproblem_solution(np.array([[max(t, 0.0) / sigma]]), red)
+    try:
+        A = assemble_optimal(red, sub).A
+    except NotAttainedError:
+        pass
+    else:
         return PsdpSolution(
-            A=A, objective=red.offset, infimum=red.offset, attained=True,
-            lower_bound=red.offset, gap=0.0,
-        )
-
-    infimum = t**2 + red.offset
-    # |B v|^2 = t^2 + |w|^2
-    if w_norm <= KERNEL_TOL * math.hypot(t, w_norm):
-        return PsdpSolution(
-            A=np.zeros((red.n, red.n)), objective=infimum, infimum=infimum, attained=True,
+            A=A, objective=infimum, infimum=infimum, attained=True,
             lower_bound=infimum, gap=0.0,
         )
 
     eps = resolve_epsilon(eps, infimum)
-    def excess(n0):
-        # sigma^2/n0^2 - 2 sigma t/n0, with no sigma^2 to overflow
-        q = sigma / n0
+    target = eps * (1.0 - 2.0**-7)
+
+    def excess(q):
+        # sigma^2 a^2 - 2 sigma t a at q = sigma a, with no sigma^2 to overflow
         return q * (q - 2.0 * t)
 
-    # smallest n0 with excess(n0) < eps: closed-form floor
-    # (y_star = (t + sqrt(t^2 + eps)) / sigma, without cancellation for t <= 0),
-    # then walk up to absorb rounding, by more than the float spacing of n0
-    y_star = eps / (sigma * (math.sqrt(t * t + eps) - t))
-    n0 = max(1, int(math.floor(1.0 / y_star)))
-    while excess(n0) >= eps:
-        n0 += max(1, n0 >> 50)
-    a = 1.0 / n0
-    A = _rotate_blocks(red, np.ones((1, 1)), np.array([a]))
-    objective = infimum + excess(n0)
+    # y_star = (t + sqrt(t^2 + target)) / sigma solves excess = target,
+    # here without cancellation for t <= 0
+    y_star = target / (sigma * (math.sqrt(t * t + target) - t))
+    if y_star >= 1.0:
+        a, q = y_star, sigma * y_star
+    else:
+        # smallest n0 with excess < target: closed-form floor, then walk up
+        # to absorb rounding, by more than the float spacing of n0
+        n0 = int(math.floor(1.0 / y_star))
+        while excess(sigma / n0) >= target:
+            n0 += max(1, n0 >> 50)
+        a, q = 1.0 / n0, sigma / n0
+    A = _rotate_blocks(red, sub.eig.Q, np.array([a]))
     return PsdpSolution(
-        A=A, objective=objective, infimum=infimum, attained=False, epsilon=eps,
+        A=A, objective=infimum + excess(q), infimum=infimum, attained=False, epsilon=eps,
         lower_bound=infimum, gap=0.0,
     )

@@ -15,7 +15,7 @@ from psdp import (
     svd,
     sym_part,
 )
-from psdp.matcore import as_matrix, default_rank_tol, symmetrize_inplace
+from psdp.matcore import as_matrix, default_rank_tol
 
 
 def test_sym_part_basic():
@@ -26,20 +26,6 @@ def test_sym_part_basic():
 def test_sym_part_rejects_nonsquare():
     with pytest.raises(DimensionError):
         sym_part(np.ones((2, 3)))
-
-
-@pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 128, 130, 600])
-def test_symmetrize_inplace_is_bitwise_sym_part(n):
-    M = np.random.default_rng(n).standard_normal((n, n)) * 1e3
-    A = M.copy()
-    out = symmetrize_inplace(A)
-    assert out is A
-    assert np.array_equal(A, sym_part(M))
-
-
-def test_symmetrize_inplace_rejects_nonsquare():
-    with pytest.raises(DimensionError):
-        symmetrize_inplace(np.ones((2, 3)))
 
 
 def test_as_matrix_rejects_nan_inf_and_bad_rank():

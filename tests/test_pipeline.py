@@ -167,6 +167,34 @@ def test_negative_route_tests_and_builds_once(monkeypatch):
     assert builds == [1] and tests == [1]
 
 
+def test_closed_form_routes_need_no_eigensolver(monkeypatch):
+    # the closed forms hand a diagonal candidate to the shared code, which
+    # factors it by a sort: no route below runs an eigensolver, and an
+    # attained rank-one answer is the one assemble_optimal built
+    eighs, optimal = [], []
+    eigh, assemble = np.linalg.eigh, reduction.assemble_optimal
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: eighs.append(1) or eigh(*a, **k))
+    monkeypatch.setattr(reduction, "assemble_optimal",
+                        lambda *a, **k: optimal.append(assemble(*a, **k)) or optimal[-1])
+    Q = np.linalg.qr(np.random.default_rng(19).standard_normal((3, 3)))[0]
+    e1 = np.array([[1.0], [0.0], [0.0]])
+    X2 = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+    cases = (
+        (e1, [[2.0], [1.0], [0.0]], True),  # rank one, t > 0
+        (e1, [[-1.0], [0.0], [0.0]], True),  # rank one, t <= 0 and w = 0
+        (e1, [[-1.0], [1.0], [0.0]], False),  # rank one, t <= 0 and w != 0
+        (X2, -X2, True),  # negative case, Z = 0
+        (X2, [[-1.0, 0.0], [0.0, -2.0], [0.3, -0.7]], False),  # negative case, Z != 0
+    )
+    for X, B, attained in cases:
+        del optimal[:]
+        sol = an_fgm_solve(Q @ X, Q @ np.asarray(B))
+        assert sol.attained is attained
+        if X.shape[1] == 1 and attained:
+            assert len(optimal) == 1 and sol.A is optimal[0].A
+    assert eighs == []
+
+
 def _rank1(rng):
     return np.outer(rng.standard_normal(6), rng.standard_normal(5)), rng.standard_normal((6, 5))
 

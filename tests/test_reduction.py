@@ -631,7 +631,7 @@ def test_assemblies_match_dense_reference(n, m, r):
                 a = t / sigma
             else:
                 n0 = 1
-                while sigma**2 / n0**2 - 2.0 * sigma * t / n0 >= 1e-2:
+                while sigma**2 / n0**2 - 2.0 * sigma * t / n0 >= 1e-2 * (1 - 2**-7):
                     n0 += 1
                 a = 1.0 / n0
             assert sol.attained is (sign > 0)
@@ -683,7 +683,7 @@ def _block_formula(red, A11, W, dK=None):
 
 
 def _assembly_cases():
-    """(name, A, block-formula reference, user K given) on every assembly route."""
+    """(name, A, block-formula reference) on every assembly route."""
     rng = np.random.default_rng(71)
     cases = []
     # exact and eps assembly from a positive definite candidate, default and user K
@@ -697,13 +697,13 @@ def _assembly_cases():
     T = rng.standard_normal((6, 6))
     K = Z @ W @ Z.T + T @ T.T
     eps = 0.5 * min(1.0, sub.residual**2)
-    cases.append(("optimal", assemble_optimal(red, sub).A, _block_formula(red, cand, W), False))
+    cases.append(("optimal", assemble_optimal(red, sub).A, _block_formula(red, cand, W)))
     cases.append(("optimal K", assemble_optimal(red, sub, K=K).A,
-                  _block_formula(red, cand, W, K - Z @ W @ Z.T), True))
+                  _block_formula(red, cand, W, K - Z @ W @ Z.T)))
     # with no kernel the eps route keeps the candidate and its inverse
-    cases.append(("eps", assemble_epsilon(red, sub, eps).A, _block_formula(red, cand, W), False))
+    cases.append(("eps", assemble_epsilon(red, sub, eps).A, _block_formula(red, cand, W)))
     cases.append(("eps K", assemble_epsilon(red, sub, eps, K_eps=K).A,
-                  _block_formula(red, cand, W, K - Z @ W @ Z.T), True))
+                  _block_formula(red, cand, W, K - Z @ W @ Z.T)))
     # exact assembly with a kernel inside ker(Z): Y is taken off the kernel
     X, B = rank_deficient_instance(rng, 6, 5, 4)
     red = reduce_problem(X, B)
@@ -715,7 +715,7 @@ def _assembly_cases():
     N = sub.eig.Q[:, 3:]
     red_off = replace(red, Y=red.Y - red.Y @ N @ N.T)
     cases.append(("optimal kernel", assemble_optimal(red, sub).A,
-                  _block_formula(red_off, cand, pinv_psd(cand)), False))
+                  _block_formula(red_off, cand, pinv_psd(cand))))
     # eps assembly that lifts a kernel outside ker(Z) to upsilon
     sub = make_subproblem_solution(2.0 * np.outer(v, v), red)
     assert not kernel_contained(sub, red)
@@ -725,7 +725,7 @@ def _assembly_cases():
     Qp, lam_p, Nk = sub.eig.Q[:, :sub.rank_s], sub.eig.lam[:sub.rank_s], sub.eig.Q[:, sub.rank_s:]
     A11_eps = (Qp * lam_p) @ Qp.T + upsilon * Nk @ Nk.T
     cases.append(("eps kernel", assemble_epsilon(red, sub, eps).A,
-                  _block_formula(red, A11_eps, np.linalg.inv(A11_eps)), False))
+                  _block_formula(red, A11_eps, np.linalg.inv(A11_eps))))
     # r = n: A = U1 A11 U1.T
     X, B = rng.standard_normal((5, 7)), rng.standard_normal((5, 7))
     red = reduce_problem(X, B)
@@ -733,7 +733,7 @@ def _assembly_cases():
     cand = S @ S.T
     sub = make_subproblem_solution(cand, red)
     cases.append(("full rank", assemble_optimal(red, sub).A,
-                  _block_formula(red, cand, np.linalg.inv(cand)), False))
+                  _block_formula(red, cand, np.linalg.inv(cand))))
     # negative case: leading block c I
     X, _ = rank_deficient_instance(rng, 8, 5, 3)
     U = np.linalg.svd(X)[0]
@@ -741,7 +741,7 @@ def _assembly_cases():
     red = reduce_problem(X, B)
     c = 0.1 / (4.0 * np.sqrt(8) * np.linalg.norm(red.sigma1) * np.linalg.norm(red.B11))
     cases.append(("negative", negative_case_solution(red, eps=0.1).A,
-                  _block_formula(red, c * np.eye(3), np.eye(3) / c), False))
+                  _block_formula(red, c * np.eye(3), np.eye(3) / c)))
     # rank one, both branches: leading coefficient a = t / sigma and a = 1 / n0
     u, v1 = rng.standard_normal(7), rng.standard_normal(4)
     X = np.outer(u, v1)
@@ -756,12 +756,12 @@ def _assembly_cases():
             a = t / sigma
         else:
             n0 = 1
-            while sigma**2 / n0**2 - 2.0 * sigma * t / n0 >= 1e-2:
+            while sigma**2 / n0**2 - 2.0 * sigma * t / n0 >= 1e-2 * (1 - 2**-7):
                 n0 += 1
             a = 1.0 / n0
         sol = rank1_solve(X, B, eps=1e-2)
         assert sol.attained is (sign > 0)
-        cases.append(("rank1 %+d" % sign, sol.A, _block_formula(red, np.array([[a]]), np.array([[1.0 / a]])), False))
+        cases.append(("rank1 %+d" % sign, sol.A, _block_formula(red, np.array([[a]]), np.array([[1.0 / a]]))))
     return cases
 
 
@@ -769,9 +769,8 @@ def _assembly_cases():
 def test_assembly_is_the_block_formula_symmetric_and_psd(case):
     # every route assembles G G.T: exactly symmetric, PSD to rounding,
     # and equal to the block formula it replaced
-    _, A, ref, user_k = case
-    if not user_k:
-        assert np.array_equal(A, A.T)
+    _, A, ref = case
+    assert np.array_equal(A, A.T)
     w = np.linalg.eigvalsh(A)
     assert w[0] >= -1e-12 * np.abs(w).max()
     assert np.linalg.norm(A - ref) <= 1e-12 * np.linalg.norm(ref)
