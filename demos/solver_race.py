@@ -4,8 +4,10 @@ Usage: python3 solver_race.py [suite] [shape]
 with suite in {well, ill, rankdef} and shape in {square, wide, tall}.
 
 Prints the mean relative error (percent) reached after 1, 10, 100 and
-1000 iterations plus per-iteration wall time, the same numbers the
-`psdp bench solver-exp` command writes to CSV.
+1000 iterations plus the wall time per iteration run, the same numbers
+the `psdp bench solver-exp` command writes to CSV.  A run that stops
+early (an-fgm, once its gap is certified) holds its last value in the
+later columns.
 """
 
 import sys
@@ -21,7 +23,7 @@ print("suite=%s shape=%s, mean over %d trials\n" % (suite, shape, rep.trials))
 print("%-9s %10s %10s %10s %10s %14s" % ("method", "iter 1", "iter 10",
                                          "iter 100", "iter 1000", "ms/iteration"))
 for name, curve in rep.mean_curves.items():
-    per_iter = 1000.0 * rep.wall_clock[name] / rep.iters
+    per_iter = 1000.0 * rep.seconds_per_iter(name)
     print("%-9s %10.4f %10.4f %10.4f %10.4f %14.3f"
           % (name, curve[1], curve[10], curve[100], curve[1000], per_iter))
 

@@ -111,8 +111,10 @@ class ExperimentReport:
     traces maps method name to an array of shape (trials, iters + 1)
     holding per-trial error curves; mean_curves maps method name to the
     per-iteration mean curve; wall_clock maps method name to mean
-    seconds per trial; summary maps method name to (mean, std) of the
-    final per-trial errors.
+    seconds per trial; iterations maps method name to the mean number of
+    iterations a trial ran, fewer than iters when a run stopped early;
+    summary maps method name to (mean, std) of the final per-trial
+    errors.
     """
 
     trials: int
@@ -120,7 +122,13 @@ class ExperimentReport:
     traces: dict = field(default_factory=dict)
     mean_curves: dict = field(default_factory=dict)
     wall_clock: dict = field(default_factory=dict)
+    iterations: dict = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
+
+    def seconds_per_iter(self, name):
+        """Mean seconds per trial over mean iterations run (nan when none ran)."""
+        its = self.iterations[name]
+        return self.wall_clock[name] / its if its else float("nan")
 
 
 def _pad(values, length):
@@ -133,14 +141,15 @@ def _pad(values, length):
 
 
 def _report(results, trials, iters, col):
-    """Aggregate per-trial {method: (curve, seconds)} dicts; the summary
-    is the mean and std over trials of column ``col`` of the curves."""
+    """Aggregate per-trial {method: (curve, seconds, iterations)} dicts; the
+    summary is the mean and std over trials of column ``col`` of the curves."""
     report = ExperimentReport(trials=trials, iters=iters)
     for name in results[0]:
         curves = np.vstack([res[name][0] for res in results])
         report.traces[name] = curves
         report.mean_curves[name] = curves.mean(axis=0)
         report.wall_clock[name] = float(np.mean([res[name][1] for res in results]))
+        report.iterations[name] = float(np.mean([res[name][2] for res in results]))
         picked = curves[:, col]
         report.summary[name] = (float(picked.mean()), float(picked.std(ddof=1) if trials > 1 else 0.0))
     return report
@@ -166,9 +175,11 @@ def _init_trial(family, seed, iters):
         if iters > 0:
             run = fgm_solve(X, B, A0, SolverConfig(max_iter=iters))
             curve = _pad(run.trace.objectives, iters + 1)
+            ran = len(run.trace) - 1
         else:
             curve = np.array([float(np.linalg.norm(A0 @ X - B, "fro"))])
-        out[name] = (curve, time.perf_counter() - t0)
+            ran = 0
+        out[name] = (curve, time.perf_counter() - t0, ran)
     return out
 
 
@@ -227,7 +238,8 @@ def _solver_trial(family, n, m, seed, iters):
         t0 = time.perf_counter()
         run = solve(X, B, method=name, cfg=cfg)
         secs = time.perf_counter() - t0
-        out[name] = (100.0 * _pad(run.trace.objectives, iters + 1) / b_norm, secs)
+        curve = 100.0 * _pad(run.trace.objectives, iters + 1) / b_norm
+        out[name] = (curve, secs, len(run.trace) - 1)
     return out
 
 
@@ -245,8 +257,9 @@ def run_solver_experiment(suite, shape, trials, iters, size=100, out_dir=None, s
 
     Writes trace.csv (per-iteration mean relative error per method),
     summary.csv (mean and std of the final relative error) and
-    timing.csv (mean seconds per 1000 iterations per method); returns
-    an ExperimentReport.
+    timing.csv (mean seconds per 1000 iterations per method, over the
+    iterations actually run: the semi-analytical route stops once its
+    gap is certified); returns an ExperimentReport.
     """
     if suite not in SUITES:
         raise ParameterError("unknown suite %r; choose one of %s" % (suite, ", ".join(SUITES)))
@@ -262,7 +275,7 @@ def run_solver_experiment(suite, shape, trials, iters, size=100, out_dir=None, s
     timing_rows = []
     for name in METHODS:
         summary_rows.append([label, name, report.summary[name][0], report.summary[name][1]])
-        timing_rows.append([name, report.wall_clock[name] * 1000.0 / iters])
+        timing_rows.append([name, report.seconds_per_iter(name) * 1000.0])
         for it, val in enumerate(report.mean_curves[name]):
             trace_rows.append([it, name, val])
     if out_dir is not None:

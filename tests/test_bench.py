@@ -143,6 +143,20 @@ def test_run_solver_experiment_report_and_csv(tmp_path):
     assert all(float(r[1]) > 0 for r in rows)
 
 
+def test_solver_race_times_the_iterations_run(tmp_path):
+    # an-fgm certifies and stops before the budget: its per-iteration
+    # time is over the iterations it ran, the full-space runs use all 60
+    rep = run_solver_experiment("rankdef", "tall", trials=2, iters=60, size=40,
+                                out_dir=tmp_path, seed0=3)
+    assert rep.iterations["fgm"] == 60
+    assert rep.iterations["an-fgm"] == 8
+    _, rows = read_csv(os.path.join(tmp_path, "timing.csv"))
+    timing = {name: float(v) for name, v in rows}
+    for name in ("gradient", "fgm", "partan", "an-fgm"):
+        expected = rep.wall_clock[name] / rep.iterations[name] * 1000.0
+        assert timing[name] == pytest.approx(expected, rel=1e-12)
+
+
 def test_run_solver_experiment_shapes():
     rep_w = run_solver_experiment("well", "wide", trials=1, iters=10, size=20, seed0=3)
     rep_t = run_solver_experiment("well", "tall", trials=1, iters=10, size=20, seed0=3)

@@ -64,13 +64,29 @@ def test_dual_bound_exact_at_a_positive_definite_optimum():
 def test_rank_deficient_run_stops_at_the_first_check():
     X, B = gen(InstanceSpec("rank_deficient", 30, 30, 4))
     sol = an_fgm_solve(X, B)
-    assert len(sol.trace) == solvers.GAP_EVERY + 1
+    assert len(sol.trace) == solvers.GAP_FIRST + 1
     assert sol.gap <= solvers.GAP_TOL
     red = reduce_problem(X, B)
     Xsub = np.diag(red.sigma1)
     full = fgm_solve(Xsub, red.B11, init_recursive(Xsub, red.B11), SolverConfig(max_iter=1000))
     assert len(full.trace) == 1001
     assert sol.infimum == pytest.approx(full.best_objective + red.offset, rel=1e-12)
+
+
+def test_tall_rank_deficient_run_certifies_at_iteration_8(monkeypatch):
+    # the first check of the schedule certifies, and the certified
+    # infimum is that of a 1000-iteration run with no certificate
+    X, B = gen(InstanceSpec("rank_deficient", 600, 40, 1))
+    sol = an_fgm_solve(X, B)
+    assert len(sol.trace) == 9
+    assert sol.gap <= solvers.GAP_TOL
+    monkeypatch.setattr(
+        pipeline, "fgm_solve",
+        lambda X, B, A0, cfg, certificate=None, **kw: solvers.fgm_solve(X, B, A0, cfg, **kw),
+    )
+    plain = an_fgm_solve(X, B)
+    assert len(plain.trace) == 1001
+    assert sol.infimum == pytest.approx(plain.infimum, rel=1e-12)
 
 
 def test_bound_holds_on_data_scaled_by_1e100():
@@ -81,7 +97,7 @@ def test_bound_holds_on_data_scaled_by_1e100():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sol = an_fgm_solve(c * X, c * B)
-    assert len(sol.trace) == len(ref.trace) == solvers.GAP_EVERY + 1
+    assert len(sol.trace) == len(ref.trace) == solvers.GAP_FIRST + 1
     assert sol.gap <= solvers.GAP_TOL
     assert sol.lower_bound / c**2 == pytest.approx(ref.lower_bound, rel=1e-12)
 
@@ -94,16 +110,17 @@ def psd_exact_fit():
     return X, (G @ G.T) @ X
 
 
-@pytest.mark.parametrize("X,B", [
+@pytest.mark.parametrize("X,B,stop", [
     (np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]),
-     np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])),
-    psd_exact_fit(),
+     np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), 8),
+    (*psd_exact_fit(), 32),
 ], ids=["diagonal-3x2", "psd-5x3"])
-def test_exact_fit_certifies_at_the_first_check(X, B):
+def test_exact_fit_certifies_at_the_first_check(X, B, stop):
     # the infimum is rounding noise (about 1e-31), so the gap is measured
-    # against the data scale |B11|^2 + offset, not against the infimum
+    # against the data scale |B11|^2 + offset, not against the infimum;
+    # the 5x3 fit needs until the third check of the schedule (8, 16, 32)
     sol = an_fgm_solve(X, B)
-    assert len(sol.trace) == solvers.GAP_EVERY + 1
+    assert len(sol.trace) == stop + 1
     assert sol.gap <= solvers.GAP_TOL
 
 
@@ -153,7 +170,11 @@ def test_ill_conditioned_bound_is_a_usable_interval():
     assert sol.lower_bound <= ref.infimum < sol.infimum
 
 
-@pytest.mark.parametrize("max_iter", [1, 49, 50, 120, 1000])
+# max_iter -> checks run: at 8, 16 and 32, then every GAP_EVERY = 50
+SCHEDULED_CHECKS = {1: 0, 7: 0, 8: 1, 49: 3, 50: 4, 120: 5, 1000: 23}
+
+
+@pytest.mark.parametrize("max_iter", sorted(SCHEDULED_CHECKS))
 def test_certificate_checked_every_gap_every_iterations(max_iter):
     X, B = gen(InstanceSpec("gaussian", 6, 6, 9))
     A0 = np.zeros((6, 6))
@@ -166,7 +187,7 @@ def test_certificate_checked_every_gap_every_iterations(max_iter):
 
     checked = fgm_solve(X, B, A0, cfg, certificate=never)
     plain = fgm_solve(X, B, A0, cfg)
-    assert len(calls) == max_iter // solvers.GAP_EVERY
+    assert len(calls) == SCHEDULED_CHECKS[max_iter]
     assert np.array_equal(checked.A, plain.A)
     assert checked.trace.objectives == plain.trace.objectives
     # the certificate sees the best iterate's squared objective

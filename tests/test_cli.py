@@ -85,6 +85,19 @@ def test_solve_unattained_reports_epsilon(tmp_path, capsys):
     assert header["attained"] == "false"
     assert float(header["epsilon"]) > 0
     assert float(header["objective"]) > float(header["infimum"])
+    # the rank-one closed form runs no iterations and carries no trace
+    assert "iterations" not in header
+
+
+def test_solve_reports_the_certifying_iteration(tmp_path, capsys):
+    # a rank-deficient instance takes the iterative route and certifies
+    # at the first gap check, iteration 8
+    X, B = gen(InstanceSpec("rank_deficient", 12, 9, 5))
+    xp, bp = write_instance(tmp_path, X, B)
+    assert cli.main(["solve", xp, bp]) == 0
+    header, _ = capture_solution(capsys, tmp_path)
+    assert header["iterations"] == "8"
+    assert float(header["gap"]) <= 1e-12
 
 
 def test_solve_rejects_bad_method_combo(tmp_path, capsys):

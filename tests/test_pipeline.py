@@ -20,7 +20,7 @@ from psdp import (
 from psdp import pipeline, reduction
 from psdp.bench import InstanceSpec, gen
 from psdp.initializers import KAPPA_MAX
-from psdp.solvers import GAP_TOL
+from psdp.solvers import GAP_FIRST, GAP_TOL
 
 
 def test_full_rank_instance_attained_and_consistent():
@@ -167,6 +167,25 @@ def test_negative_route_tests_and_builds_once(monkeypatch):
     assert builds == [1] and tests == [1]
 
 
+def test_negative_route_builds_the_zero_candidate_once(monkeypatch):
+    # the Z = 0 test and the eps-lift read one cached zero candidate
+    built = []
+    make = reduction.make_subproblem_solution
+
+    def counted(*args):
+        built.append(1)
+        return make(*args)
+
+    monkeypatch.setattr(reduction, "make_subproblem_solution", counted)
+    monkeypatch.setattr(pipeline, "make_subproblem_solution", counted)
+    X = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+    B = -X
+    B[2] = [0.3, -0.7]
+    sol = an_fgm_solve(X, B, eps=1e-3)
+    assert sol.attained is False and sol.gap == 0.0
+    assert len(built) == 1
+
+
 def test_closed_form_routes_need_no_eigensolver(monkeypatch):
     # the closed forms hand a diagonal candidate to the shared code, which
     # factors it by a sort: no route below runs an eigensolver, and an
@@ -245,7 +264,8 @@ def test_trace_is_in_original_coordinates():
     # sqrt(offset) and by the certified infimum
     assert (objs**2 >= red.offset - 1e-9).all()
     assert (objs**2 >= sol.infimum - 1e-6 * max(1.0, sol.infimum)).all()
-    assert len(objs) == 51
+    # the run certifies at its first gap check
+    assert len(objs) == GAP_FIRST + 1
 
 
 def test_all_method_traces_bounded_below_by_infimum():
@@ -311,12 +331,12 @@ def test_mostly_unattained_on_tall_instances():
 def test_one_block_start_still_certifies_at_the_first_check():
     # sigma1 of a rank-deficient tall X fits in one block, so the reduced
     # run starts from the diagonal rule with no warm-up run, and its first
-    # gap check (iteration 50) certifies
+    # gap check (iteration 8) certifies
     X, B = gen(InstanceSpec("rank_deficient", 120, 40, 7))
     red = reduce_problem(X, B)
     assert red.r == 20 and red.sigma1[0] / red.sigma1[-1] <= KAPPA_MAX
     sol = an_fgm_solve(X, B)
-    assert len(sol.trace) == 51
+    assert len(sol.trace) == GAP_FIRST + 1
     assert sol.gap <= GAP_TOL
 
 
