@@ -45,7 +45,7 @@ from .matcore import (
     svd,
     sym_part,
 )
-from .matrixio import read_matrix, write_matrix, write_solution
+from .matrixio import read_matrix, write_matrix
 from .pipeline import an_fgm_solve, solve
 from .reduction import (
     ReducedProblem,
@@ -126,5 +126,4 @@ __all__ = [
     "svd",
     "sym_part",
     "write_matrix",
-    "write_solution",
 ]

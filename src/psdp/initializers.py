@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InapplicableError, ParameterError
-from .matcore import as_matrix, psd_project
+from .errors import InapplicableError, ParameterError
+from .matcore import as_pair, psd_project
 from .solvers import SolverConfig, fgm_solve
 
 # condition-number ceiling for the recursive blocks and the length of
@@ -37,8 +37,7 @@ def init_zero(n):
 
 def init_unconstrained(X, B):
     """PSD projection of the unconstrained minimizer B X^+."""
-    X = as_matrix(X, "X")
-    B = as_matrix(B, "B")
+    X, B = as_pair(X, B)
     return psd_project(B @ np.linalg.pinv(X))
 
 
@@ -52,12 +51,7 @@ def init_diagonal(X, B):
     exact, so d is bitwise that of the unscaled formula wherever the
     unscaled |X_i|^2 is itself free of overflow and underflow.
     """
-    X = as_matrix(X, "X")
-    B = as_matrix(B, "B")
-    if X.shape != B.shape:
-        raise DimensionError(
-            "X and B must have equal shapes, got %s and %s" % ((X.shape,), (B.shape,))
-        )
+    X, B = as_pair(X, B)
     e = np.frexp(np.abs(X).max(axis=1))[1]
     Xs = np.ldexp(X, -e[:, None])
     row_sq = np.sum(Xs * Xs, axis=1)
@@ -139,16 +133,13 @@ def init_recursive(sigma1, B11):
         raise ParameterError("sigma1 must be a non-empty vector or diagonal matrix")
     if not (sig > 0).all():
         raise ParameterError("diagonal entries must be positive")
-    B11 = as_matrix(B11, "B11")
-    r = sig.size
-    if B11.shape != (r, r):
-        raise DimensionError("B11 must be %d-by-%d, got %s" % (r, r, (B11.shape,)))
+    X, B11 = as_pair(np.diag(sig), B11)
     order = np.argsort(sig, kind="stable")
     part = split_diagonal(sig[order])
     if len(part.blocks) == 1:
-        return init_diagonal(np.diag(sig), B11)
+        return init_diagonal(X, B11)
     bcfg = SolverConfig(max_iter=BLOCK_ITERS, record_trace=False)
-    A0 = np.zeros((r, r))
+    A0 = np.zeros_like(X)
     for lo, hi in part.blocks:
         idx = order[lo:hi]
         Xb = np.diag(sig[idx])

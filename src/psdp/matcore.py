@@ -1,9 +1,11 @@
 """Dense real-matrix primitives shared by the whole package.
 
-All matrices are two-dimensional float64 ndarrays.  Constructors reject
-NaN/Inf on entry; spectral factorizations delegate to LAPACK through
-numpy.linalg and are wrapped so that failures surface as NumericError
-with some context instead of a bare backend exception.
+All matrices are two-dimensional float64 ndarrays.  User input is
+checked once, where it enters the package, by ``as_matrix`` or
+``as_pair``; the array kernels expect finite arrays and do not rescan
+them.  Spectral factorizations delegate to LAPACK through numpy.linalg
+and are wrapped so that failures and non-finite results surface as
+NumericError with some context instead of a bare backend exception.
 
 The central operation is ``psd_project``, the Frobenius-nearest
 positive semidefinite matrix: symmetrize, then clip negative
@@ -34,10 +36,28 @@ def as_matrix(M, name="matrix"):
     return A
 
 
+def as_pair(X, B):
+    """``as_matrix`` of X and B, which must have equal shapes and a finite |B|_F^2.
+
+    |B|_F^2 is the objective of A = 0; its overflow raises NumericError.
+    One sum of squares over B stands in for B's NaN/Inf scan.
+    """
+    X = as_matrix(X, "X")
+    B = np.asarray(B, dtype=float)
+    if X.shape != B.shape:
+        raise DimensionError("X and B must have equal shapes, got %s and %s" % (X.shape, B.shape))
+    b = B.ravel(order="K")
+    with np.errstate(over="ignore"):
+        if not math.isfinite(float(b @ b)):
+            as_matrix(B, "B")
+            raise NumericError("|B|_F^2 overflows float64; rescale B")
+    return X, B
+
+
 def sym_part(M):
-    """Symmetric part (M + M.T) / 2 of a square matrix."""
-    M = as_matrix(M)
-    if M.shape[0] != M.shape[1]:
+    """Symmetric part (M + M.T) / 2 of a square matrix; M is not rescanned."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError("matrix must be square, got shape %s" % (M.shape,))
     return (M + M.T) / 2.0
 
@@ -48,9 +68,9 @@ def fro_norm(M):
     M is scaled by the power of two 2^e nearest above its largest entry
     before squaring and the norm scaled back; both scalings are exact, so
     the result is bitwise that of ``np.linalg.norm(M, "fro")`` wherever
-    that one neither overflows nor underflows.
+    that one neither overflows nor underflows.  M is not rescanned.
     """
-    M = as_matrix(M)
+    M = np.asarray(M, dtype=float)
     e = math.frexp(float(np.abs(M).max()))[1]
     # the sum np.linalg.norm forms, without its per-call dispatch
     S = np.ldexp(M, -e).ravel(order="K")
@@ -89,6 +109,14 @@ def _lapack(fn, M, what, **kwargs):
         ) from exc
 
 
+def _eigh(M, what):
+    """np.linalg.eigh of sym_part(M); a NaN/Inf in M shows as a non-finite eigenvalue."""
+    w, Q = _lapack(np.linalg.eigh, sym_part(M), what)
+    if not np.isfinite(w).all():
+        raise NumericError("%s returned non-finite eigenvalues" % what)
+    return w, Q
+
+
 def eigh_sorted(S):
     """Eigendecomposition of the symmetric part of ``S``, eigenvalues nonincreasing.
 
@@ -97,9 +125,7 @@ def eigh_sorted(S):
     SymEig
         Named tuple (Q, lam) with S_sym = Q @ diag(lam) @ Q.T.
     """
-    w, Q = _lapack(np.linalg.eigh, sym_part(S), "symmetric eigendecomposition")
-    if not np.isfinite(w).all():
-        raise NumericError("eigensolver returned non-finite eigenvalues")
+    w, Q = _eigh(S, "symmetric eigendecomposition")
     return SymEig(Q[:, ::-1].copy(), w[::-1].copy())
 
 
@@ -111,9 +137,9 @@ def svd(M):
     SvdFactors
         U is n-by-k and V is m-by-k with orthonormal columns,
         k = min(n, m), and S nonincreasing.  Costs O(n m k); the
-        complementary bases are never formed.
+        complementary bases are never formed.  M is not rescanned.
     """
-    U, s, Vh = _lapack(np.linalg.svd, as_matrix(M), "SVD", full_matrices=False)
+    U, s, Vh = _lapack(np.linalg.svd, np.asarray(M, dtype=float), "SVD", full_matrices=False)
     if not (np.isfinite(s).all() and (np.diff(s) <= 0).all() and (s >= 0).all()):
         raise NumericError("SVD returned invalid singular values")
     return SvdFactors(U, s, Vh.T)
@@ -124,9 +150,9 @@ def psd_project(M):
 
     Symmetrizes ``M``, then clips negative eigenvalues to zero.  The
     result is re-symmetrized to shed rounding asymmetry, so repeated
-    application is idempotent to machine precision.
+    application is idempotent to machine precision.  M is not rescanned.
     """
-    w, Q = _lapack(np.linalg.eigh, sym_part(M), "PSD projection eigensolve")
+    w, Q = _eigh(M, "PSD projection eigensolve")
     np.maximum(w, 0.0, out=w)
     P = (Q * w) @ Q.T
     return (P + P.T) / 2.0

@@ -131,8 +131,3 @@ def solution_header(sol):
     if sol.trace is not None:
         header["iterations"] = str(len(sol.trace) - 1)
     return header
-
-
-def write_solution(path, sol):
-    """Serialize a PsdpSolution: metadata header then the matrix A."""
-    write_matrix(path, sol.A, header=solution_header(sol))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateProblemError, NotAttainedError
 from .initializers import init_diagonal, init_recursive, init_unconstrained, init_zero
-from .matcore import as_matrix, fro_norm
+from .matcore import as_pair, fro_norm
 from .reduction import (
     assemble_epsilon,
     assemble_optimal,
@@ -94,8 +94,7 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
         stops at the first check with gap <= ``solvers.GAP_TOL``.
         Elsewhere the infimum is exact and gap is 0.
     """
-    X = as_matrix(X, "X")
-    B = as_matrix(B, "B")
+    X, B = as_pair(X, B)
     try:
         red = reduce_problem(X, B)
     except DegenerateProblemError:
@@ -171,8 +170,7 @@ def solve(X, B, method="an-fgm", init=None, cfg=None, eps=None):
         raise ConfigurationError(
             "the recursive initialization requires method 'an-fgm'"
         )
-    X = as_matrix(X, "X")
-    B = as_matrix(B, "B")
+    X, B = as_pair(X, B)
     A0 = INITIALIZERS[init or "diagonal"](X, B)
     runner = {"gradient": gradient_solve, "fgm": fgm_solve, "partan": partan_solve}[method]
     return runner(X, B, A0, cfg)

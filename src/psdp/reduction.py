@@ -51,6 +51,7 @@ from .matcore import (
     KERNEL_TOL,
     SymEig,
     as_matrix,
+    as_pair,
     default_rank_tol,
     eigh_sorted,
     fro_norm,
@@ -148,12 +149,7 @@ def reduce_problem(X, B):
     PSD matrix attains the infimum |B|_F^2) and DimensionError when X
     and B differ in shape.
     """
-    X = as_matrix(X, "X")
-    B = as_matrix(B, "B")
-    if X.shape != B.shape:
-        raise DimensionError(
-            "X and B must have equal shapes, got %s and %s" % ((X.shape,), (B.shape,))
-        )
+    X, B = as_pair(X, B)
     n, m = X.shape
     U, s, V = svd(X)
     r = int(np.count_nonzero(s > default_rank_tol(n, m, float(s[0]))))
@@ -184,8 +180,9 @@ def make_subproblem_solution(A11hat, red):
 
     A diagonal candidate (the closed forms') is factored by a stable
     descending sort: Q is a permutation and no eigensolver runs.
+    A11hat is expected finite and is not rescanned.
     """
-    A11hat = as_matrix(A11hat, "A11hat")
+    A11hat = np.asarray(A11hat, dtype=float)
     if A11hat.shape != (red.r, red.r):
         raise DimensionError(
             "A11hat must be %d-by-%d, got %s" % (red.r, red.r, (A11hat.shape,))

@@ -52,8 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InapplicableError, ParameterError
-from .matcore import as_matrix, psd_project
+from .errors import DimensionError, InapplicableError, NumericError, ParameterError
+from .matcore import as_matrix, as_pair, psd_project
 from .solution import IterateTrace, PsdpSolution
 
 # the certified-gap stop rule: a relative gap at rounding level, checked
@@ -98,21 +98,20 @@ def precompute(X, B):
     the n-th singular value (zero when m < n or X is rank deficient).
     A diagonal X (the reduced subproblem and its blocks) has the sorted
     absolute diagonal as its singular values, so no SVD is taken then.
+    Raises NumericError when L overflows float64.
     """
-    X = as_matrix(X, "X")
-    B = as_matrix(B, "B")
-    if X.shape != B.shape:
-        raise DimensionError(
-            "X and B must have equal shapes, got %s and %s" % ((X.shape,), (B.shape,))
-        )
-    XXt = X @ X.T
-    BXt = B @ X.T
+    X, B = as_pair(X, B)
     d = np.diagonal(X)
     if np.count_nonzero(X) == np.count_nonzero(d):
         s = np.sort(np.abs(d))[::-1]
     else:
         s = np.linalg.svd(X, compute_uv=False)
-    L = float(s[0]) ** 2
+    try:
+        L = float(s[0]) ** 2
+    except OverflowError:
+        raise NumericError("sigma_max(X)^2 overflows float64; rescale X") from None
+    XXt = X @ X.T
+    BXt = B @ X.T
     n = X.shape[0]
     q = (float(s[n - 1]) / float(s[0])) ** 2 if (L > 0 and s.size >= n) else 0.0
     return XXt, BXt, L, q
@@ -132,9 +131,8 @@ def _check_init(A0, n):
 
 def _oracle(X, B):
     """The plain oracle of |A X - B|_F: steps and objective on A itself."""
+    X, B = as_pair(X, B)
     XXt, BXt, L, q = precompute(X, B)
-    X = np.asarray(X, dtype=float)
-    B = np.asarray(B, dtype=float)
 
     def step(Y):
         return psd_project(Y - gradient(Y, XXt, BXt) / L)
@@ -157,15 +155,10 @@ def _congruent_oracle(X, C):
     symmetric matrices.  The objective is |Ahat * R - C|_F with
     R_ij = sqrt(sigma_j / sigma_i), since (A Sigma)_ij = Ahat_ij sigma_j / scale_ij.
     """
-    X = as_matrix(X, "X")
-    C = as_matrix(C, "B")
+    X, C = as_pair(X, C)
     sigma = np.diagonal(X)
-    if X.shape != C.shape or X.shape[0] != X.shape[1]:
-        raise DimensionError(
-            "X and B must be square of equal order, got %s and %s" % (X.shape, C.shape)
-        )
-    if np.count_nonzero(X) != np.count_nonzero(sigma) or not (sigma > 0).all():
-        raise InapplicableError("the preconditioned run requires a positive diagonal X")
+    if not ((sigma > 0).all() and np.array_equal(X, np.diag(sigma))):
+        raise InapplicableError("the preconditioned run requires a square positive diagonal X")
     s = np.sqrt(sigma)
     scale = np.outer(s, s)
     ratio = sigma[:, None] / sigma[None, :]

@@ -191,3 +191,11 @@ def test_solve_prints_the_certified_interval(tmp_path, capsys):
     assert cli.main(["solve", xp, bp, "--method", "fgm", "--max-iter", "20"]) == 0
     header, _ = capture_solution(capsys, tmp_path)
     assert "lower_bound" not in header and "gap" not in header
+
+
+def test_overflowing_data_exits_3(tmp_path, capsys):
+    # |B|_F^2 overflows float64: a typed numerical failure, not a traceback
+    X, B = gen(InstanceSpec("rank_deficient", 8, 6, 0))
+    xp, bp = write_instance(tmp_path, X, 1e160 * B)
+    assert cli.main(["solve", xp, bp]) == 3
+    assert "overflows" in capsys.readouterr().err

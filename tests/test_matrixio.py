@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from psdp import MatrixParseError, PsdpSolution, read_matrix, write_matrix, write_solution
-from psdp.matrixio import format_float, read_header
+from psdp import MatrixParseError, PsdpSolution, read_matrix, write_matrix
+from psdp.matrixio import format_float, read_header, solution_header
 
 
 def test_round_trip_exact(tmp_path):
@@ -32,7 +32,7 @@ def test_file_layout(tmp_path):
 def test_header_round_trip(tmp_path):
     path = tmp_path / "s.txt"
     sol = PsdpSolution(A=np.eye(2), objective=1.5, infimum=1.25, attained=False, epsilon=0.5)
-    write_solution(path, sol)
+    write_matrix(path, sol.A, header=solution_header(sol))
     meta = read_header(path)
     assert float(meta["objective"]) == 1.5
     assert float(meta["infimum"]) == 1.25

@@ -373,13 +373,18 @@ def test_rankdef_speedup_per_iteration():
     # r = n/2 at n = 100: the cost model predicts about 4x per
     # iteration; allow measurement noise but require a clear multiple.
     # The reduced loop of an_fgm_solve runs without its certificate, so
-    # both medians come from the same 250 iterations
+    # both medians come from the same 250 iterations.  The two runs
+    # alternate five times and each side keeps its best median, so a
+    # busy spell of the host does not decide the ratio
     X, B = gen(InstanceSpec("rank_deficient", 100, 100, 5))
     cfg = SolverConfig(max_iter=250)
-    full = fgm_solve(X, B, init_diagonal(X, B), cfg)
     red = reduce_problem(X, B)
     Xsub = np.diag(red.sigma1)
-    fast = fgm_solve(Xsub, red.B11, init_recursive(Xsub, red.B11), cfg, precondition=True)
-    t_full = np.median(np.diff(full.trace.timestamps))
-    t_fast = np.median(np.diff(fast.trace.timestamps))
-    assert t_full / t_fast >= 3.0
+    A0_full, A0_fast = init_diagonal(X, B), init_recursive(Xsub, red.B11)
+    t_full, t_fast = [], []
+    for _ in range(5):
+        full = fgm_solve(X, B, A0_full, cfg)
+        t_full.append(np.median(np.diff(full.trace.timestamps)))
+        fast = fgm_solve(Xsub, red.B11, A0_fast, cfg, precondition=True)
+        t_fast.append(np.median(np.diff(fast.trace.timestamps)))
+    assert min(t_full) / min(t_fast) >= 3.0
