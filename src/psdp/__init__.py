@@ -34,17 +34,7 @@ from .initializers import (
     init_zero,
     split_diagonal,
 )
-from .matcore import (
-    SvdFactors,
-    SymEig,
-    eigh_sorted,
-    fro_norm,
-    is_psd,
-    pinv_psd,
-    psd_project,
-    svd,
-    sym_part,
-)
+from .matcore import SymEig, fro_norm, psd_project
 from .matrixio import read_matrix, write_matrix
 from .pipeline import an_fgm_solve, solve
 from .reduction import (
@@ -52,10 +42,8 @@ from .reduction import (
     SubproblemSolution,
     assemble_epsilon,
     assemble_optimal,
-    infimum_value,
     kernel_contained,
     make_subproblem_solution,
-    minimal_norm_completion,
     negative_case_solution,
     rank1_solve,
     reduce_problem,
@@ -64,10 +52,8 @@ from .solution import IterateTrace, PsdpSolution
 from .solvers import (
     SolverConfig,
     fgm_solve,
-    gradient,
     gradient_solve,
     partan_solve,
-    precompute,
 )
 
 __version__ = "0.1.0"
@@ -91,30 +77,22 @@ __all__ = [
     "ReducedProblem",
     "SolverConfig",
     "SubproblemSolution",
-    "SvdFactors",
     "SymEig",
     "an_fgm_solve",
     "assemble_epsilon",
     "assemble_optimal",
-    "eigh_sorted",
     "fgm_solve",
     "fro_norm",
     "gen",
-    "gradient",
     "gradient_solve",
-    "infimum_value",
     "init_diagonal",
     "init_recursive",
     "init_unconstrained",
     "init_zero",
-    "is_psd",
     "kernel_contained",
     "make_subproblem_solution",
-    "minimal_norm_completion",
     "negative_case_solution",
     "partan_solve",
-    "pinv_psd",
-    "precompute",
     "psd_project",
     "rank1_solve",
     "read_matrix",
@@ -123,7 +101,5 @@ __all__ = [
     "run_solver_experiment",
     "solve",
     "split_diagonal",
-    "svd",
-    "sym_part",
     "write_matrix",
 ]

@@ -142,8 +142,11 @@ def init_recursive(sigma1, B11):
     A0 = np.zeros_like(X)
     for lo, hi in part.blocks:
         idx = order[lo:hi]
-        Xb = np.diag(sig[idx])
+        # the block runs on sigma_b 2^-e, e even, so its sigma^2 neither overflows
+        # nor underflows; the scaling is exact, and its result is mapped back
+        e = 2 * (int(np.frexp(sig[idx].max())[1]) // 2)
+        Xb = np.diag(np.ldexp(sig[idx], -e))
         Bb = B11[np.ix_(idx, idx)]
         sol = fgm_solve(Xb, Bb, init_diagonal(Xb, Bb), bcfg)
-        A0[np.ix_(idx, idx)] = sol.best_A
+        A0[np.ix_(idx, idx)] = np.ldexp(sol.best_A, -e)
     return A0

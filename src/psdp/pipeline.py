@@ -30,14 +30,14 @@ from .matcore import as_pair, fro_norm
 from .reduction import (
     assemble_epsilon,
     assemble_optimal,
-    factor_and_bound,
+    dual_bound,
     kernel_contained,
+    make_subproblem_solution,
     negative_case_solution,
     rank1_solve,
     reduce_problem,
     relative_gap,
 )
-from .reduction import make_subproblem_solution  # noqa: F401  (unused here; perfbench's tracer wraps this name)
 from .solution import IterateTrace, PsdpSolution
 from .solvers import fgm_solve, gradient_solve, partan_solve
 
@@ -55,6 +55,7 @@ INITIALIZERS = {
 
 def _zero_solution(B):
     """A = 0 at objective |B|_F^2, optimal when X = 0 or in the negative case with Z = 0."""
+    B = np.asarray(B, dtype=float)
     value = fro_norm(B) ** 2
     A = np.zeros((B.shape[0], B.shape[0]))
     trace = IterateTrace(objectives=[value**0.5], timestamps=[0.0])
@@ -94,7 +95,6 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
         stops at the first check with gap <= ``solvers.GAP_TOL``.
         Elsewhere the infimum is exact and gap is 0.
     """
-    X, B = as_pair(X, B)
     try:
         red = reduce_problem(X, B)
     except DegenerateProblemError:
@@ -119,13 +119,15 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
     checked = [None, None]
 
     def certificate(A11, f):
-        checked[:] = factor_and_bound(red, A11)
+        sub = make_subproblem_solution(A11, red)
+        checked[:] = sub, dual_bound(red, sub)
         return relative_gap(red, f + red.offset, checked[1])
 
     sub_run = fgm_solve(Xsub, red.B11, A0, cfg, certificate=certificate, precondition=True)
     sub, bound = checked
     if sub is None or not np.array_equal(sub.A11hat, sub_run.best_A):
-        sub, bound = factor_and_bound(red, sub_run.best_A)
+        sub = make_subproblem_solution(sub_run.best_A, red)
+        bound = dual_bound(red, sub)
 
     try:
         out = assemble_optimal(red, sub)

@@ -169,12 +169,6 @@ def subproblem_residual(A11, red):
     return float(np.linalg.norm(A11 * red.sigma1 - red.B11, "fro"))
 
 
-def _kernel_excess(C, N, unit):
-    """|C N|_F when it exceeds KERNEL_TOL * unit (range(N) not in ker(C)), else None."""
-    cn = fro_norm(C @ N) if N.size else 0.0
-    return cn if cn > KERNEL_TOL * unit else None
-
-
 def make_subproblem_solution(A11hat, red):
     """Wrap a candidate A11hat with its residual, numerical rank and eigendecomposition.
 
@@ -206,8 +200,10 @@ def kernel_contained(sub, red):
     the data's unit |B V1 Sigma1^{-1}|_F, the size of Y when it is not zero.
     """
     N = sub.eig.Q[:, sub.rank_s:]
-    unit = math.hypot(fro_norm(red.B11 / red.sigma1), fro_norm(red.Y)) if N.size else 0.0
-    return _kernel_excess(red.Y, N, unit) is None
+    if not N.size:
+        return True
+    unit = math.hypot(fro_norm(red.B11 / red.sigma1), fro_norm(red.Y))
+    return fro_norm(red.Y @ N) <= KERNEL_TOL * unit
 
 
 def _rotate_blocks(red, Q, lam, rank=None, F=None):
@@ -298,12 +294,6 @@ def dual_bound(red, sub):
     return max(0.0, f - float(np.sum(Lam * A_lam)) + red.offset + gain)
 
 
-def factor_and_bound(red, A11hat):
-    """``make_subproblem_solution`` of a candidate and ``dual_bound`` at it, as a pair."""
-    sub = make_subproblem_solution(A11hat, red)
-    return sub, dual_bound(red, sub)
-
-
 def relative_gap(red, upper, lower):
     """(upper - lower) / upper, the relative width of [lower, upper].
 
@@ -312,32 +302,6 @@ def relative_gap(red, upper, lower):
     """
     denom = max(upper, EPS * (fro_norm(red.B11) ** 2 + red.offset))
     return (upper - lower) / denom if denom > 0.0 else 0.0
-
-
-def minimal_norm_completion(Bblk, Cblk):
-    """Minimal trailing block making [[B, C.T], [C, K]] PSD.
-
-    Given symmetric PSD ``Bblk`` and ``Cblk`` with ker(Bblk) contained
-    in ker(Cblk), the unique minimizer of both Frobenius and spectral
-    norm over admissible trailing blocks is C B^+ C.T.  A kernel
-    violation raises ConstraintViolationError.
-    """
-    Bblk = as_matrix(Bblk, "leading block")
-    Cblk = as_matrix(Cblk, "coupling block")
-    if Bblk.shape[0] != Bblk.shape[1]:
-        raise DimensionError("leading block must be square, got %s" % (Bblk.shape,))
-    if Cblk.shape[1] != Bblk.shape[0]:
-        raise DimensionError(
-            "coupling block must have %d columns, got %s" % (Bblk.shape[0], (Cblk.shape,))
-        )
-    eig = eigh_sorted(Bblk)
-    cn = _kernel_excess(Cblk, eig.Q[:, numerical_rank(eig.lam):], fro_norm(Cblk))
-    if cn is not None:
-        raise ConstraintViolationError(
-            "kernel of the leading block is not contained in the kernel of the "
-            "coupling block (|C N|_F = %.3e); no PSD completion exists" % cn
-        )
-    return sym_part(Cblk @ pinv_from_eig(eig) @ Cblk.T)
 
 
 def assemble_optimal(red, sub, K=None):

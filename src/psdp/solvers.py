@@ -49,6 +49,7 @@ paper's initializer, whose values are pinned.
 import itertools
 import time
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -82,8 +83,10 @@ class SolverConfig:
     wall_clock_budget: float = None
 
     def __post_init__(self):
-        if not isinstance(self.max_iter, int) or self.max_iter < 1:
-            raise ParameterError("max_iter must be a positive integer, got %r" % (self.max_iter,))
+        m = self.max_iter
+        if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
+            raise ParameterError("max_iter must be a positive integer, got %r" % (m,))
+        self.max_iter = int(m)
         if self.objective_tol is not None and self.objective_tol < 0:
             raise ParameterError("objective_tol must be nonnegative")
         if self.wall_clock_budget is not None and self.wall_clock_budget <= 0:
@@ -98,9 +101,9 @@ def precompute(X, B):
     the n-th singular value (zero when m < n or X is rank deficient).
     A diagonal X (the reduced subproblem and its blocks) has the sorted
     absolute diagonal as its singular values, so no SVD is taken then.
-    Raises NumericError when L overflows float64.
+    Raises NumericError when L overflows float64.  X and B are
+    expected checked (``_oracle`` does) and are not rescanned.
     """
-    X, B = as_pair(X, B)
     d = np.diagonal(X)
     if np.count_nonzero(X) == np.count_nonzero(d):
         s = np.sort(np.abs(d))[::-1]

@@ -87,6 +87,19 @@ def _rank1():
     return np.outer(rng.standard_normal(6), rng.standard_normal(4)), rng.standard_normal((6, 4))
 
 
+def _ill():
+    # kappa 1e6 splits into several recursive blocks
+    return gen(InstanceSpec("ill_conditioned", 20, 20, 0, kappa_target=1e6))
+
+
+def _negative():
+    # B = -X plus a part outside range(X): the negative case with Z != 0
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))
+    U = np.linalg.svd(X)[0]
+    return X, -X + U[:, 2:] @ rng.standard_normal((4, 4))
+
+
 # each call overflows |B|_F^2 or sigma_max(X)^2
 OVERFLOWS = [
     pytest.param(_rankdef, lambda X, B: an_fgm_solve(X, 1e160 * B), id="an-fgm-rankdef-1e160B"),
@@ -106,7 +119,7 @@ def test_float_range_edge_raises_numeric_error(make, call):
 
 
 @pytest.mark.parametrize("c, d", [(1.0, 1e150), (1e160, 1.0), (1e-160, 1.0)])
-@pytest.mark.parametrize("make", [_rankdef, _rank1], ids=["rankdef", "rank1"])
+@pytest.mark.parametrize("make", [_rankdef, _rank1, _ill], ids=["rankdef", "rank1", "ill"])
 def test_semi_analytical_route_solves_near_the_edge(make, c, d):
     X, B = make()
     sol = an_fgm_solve(c * X, d * B)
@@ -114,18 +127,19 @@ def test_semi_analytical_route_solves_near_the_edge(make, c, d):
     assert sol.lower_bound <= sol.infimum
 
 
-def _count_checks(monkeypatch):
-    calls = [0]
+def _record_checks(monkeypatch):
+    """The list the id of every array passed to ``as_matrix`` is appended to."""
+    seen = []
     original = matcore.as_matrix
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
+    def recorded(M, *args, **kwargs):
+        seen.append(id(M))
+        return original(M, *args, **kwargs)
 
     for mod in (matcore, reduction, solvers, initializers, pipeline, matrixio):
         if hasattr(mod, "as_matrix"):
-            monkeypatch.setattr(mod, "as_matrix", counted)
-    return calls
+            monkeypatch.setattr(mod, "as_matrix", recorded)
+    return seen
 
 
 @pytest.mark.parametrize("run", [
@@ -136,11 +150,23 @@ def test_input_checks_do_not_grow_with_iterations(run, monkeypatch):
     # an ill-conditioned 60x60 instance never certifies within 1000
     # iterations, so both runs take their full budget
     X, B = gen(InstanceSpec("ill_conditioned", 60, 60, 0, kappa_target=1e6))
-    calls = _count_checks(monkeypatch)
+    seen = _record_checks(monkeypatch)
     counts = []
     for max_iter in (100, 1000):
-        calls[0] = 0
+        del seen[:]
         sol = run(X, B, SolverConfig(max_iter=max_iter))
         assert len(sol.trace) == max_iter + 1
-        counts.append(calls[0])
+        counts.append(len(seen))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("make, route", [
+    (_rankdef, "iterative"), (_rank1, "rank1"), (_negative, "negative"),
+])
+def test_an_fgm_solve_checks_the_callers_x_once(make, route, monkeypatch):
+    X, B = make()
+    red = reduce_problem(X, B)
+    assert route == ("rank1" if red.r == 1 else "negative" if red.negative_case else "iterative")
+    seen = _record_checks(monkeypatch)
+    an_fgm_solve(X, B)
+    assert seen.count(id(X)) == 1

@@ -3,19 +3,16 @@
 import numpy as np
 import pytest
 
-from psdp import (
-    DimensionError,
-    NumericError,
-    ParameterError,
+from psdp import DimensionError, NumericError, ParameterError, fro_norm, psd_project
+from psdp.matcore import (
+    as_matrix,
+    default_rank_tol,
     eigh_sorted,
-    fro_norm,
     is_psd,
     pinv_psd,
-    psd_project,
     svd,
     sym_part,
 )
-from psdp.matcore import as_matrix, default_rank_tol
 
 
 def test_sym_part_basic():

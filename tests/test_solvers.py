@@ -13,15 +13,14 @@ from psdp import (
     SolverConfig,
     fgm_solve,
     fro_norm,
-    gradient,
     gradient_solve,
     init_diagonal,
     init_recursive,
     partan_solve,
-    precompute,
     psd_project,
     solvers,
 )
+from psdp.solvers import gradient, precompute
 
 
 def test_config_validation():
@@ -29,8 +28,12 @@ def test_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ParameterError):
         SolverConfig(wall_clock_budget=0.0)
+    with pytest.raises(ParameterError):
+        SolverConfig(max_iter=True)
     cfg = SolverConfig()
     assert cfg.max_iter == 1000
+    cfg = SolverConfig(max_iter=np.int64(5))
+    assert cfg.max_iter == 5 and type(cfg.max_iter) is int
 
 
 def test_precompute_constants():
