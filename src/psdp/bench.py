@@ -238,8 +238,9 @@ def _solver_trial(family, n, m, seed, iters):
         t0 = time.perf_counter()
         run = solve(X, B, method=name, cfg=cfg)
         secs = time.perf_counter() - t0
-        curve = 100.0 * _pad(run.trace.objectives, iters + 1) / b_norm
-        out[name] = (curve, secs, len(run.trace) - 1)
+        objs = run.trace.objectives if run.trace is not None else [run.objective**0.5]
+        curve = 100.0 * _pad(objs, iters + 1) / b_norm
+        out[name] = (curve, secs, len(objs) - 1)
     return out
 
 
@@ -253,13 +254,15 @@ def run_solver_experiment(suite, shape, trials, iters, size=100, out_dir=None, s
     initialization and the semi-analytical route uses its recursive
     one (``pipeline.solve``'s defaults).  Errors are relative,
     100 |A X - B|_F / |B|_F, and each method's timing includes its
-    initialization.
+    initialization.  An exact route of "an-fgm" (X = 0, rank one, the
+    negative case) reports 0 iterations, its curve flat at its error.
 
     Writes trace.csv (per-iteration mean relative error per method),
     summary.csv (mean and std of the final relative error) and
     timing.csv (mean seconds per 1000 iterations per method, over the
     iterations actually run: the semi-analytical route stops once its
-    gap is certified); returns an ExperimentReport.
+    gap is certified, and a method that ran none reads nan); returns an
+    ExperimentReport.
     """
     if suite not in SUITES:
         raise ParameterError("unknown suite %r; choose one of %s" % (suite, ", ".join(SUITES)))

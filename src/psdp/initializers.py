@@ -115,7 +115,8 @@ def init_recursive(sigma1, B11):
     ``sigma1`` may be a 1-D vector of positive diagonal entries, in any
     order, or a diagonal matrix; anything non-diagonal raises
     InapplicableError.  Entries are sorted ascending and split with
-    ``split_diagonal`` at KAPPA_MAX.  When the split finds one block,
+    ``split_diagonal`` at KAPPA_MAX, whose check raises ParameterError
+    for an entry that is not positive.  When the split finds one block,
     the whole diagonal is within KAPPA_MAX and the result is
     ``init_diagonal``: the base case, with no warm-up run.  Otherwise
     each block subproblem gets its diagonal initialization refined by
@@ -131,8 +132,6 @@ def init_recursive(sigma1, B11):
         sig = np.diag(sig)
     if sig.ndim != 1 or sig.size == 0:
         raise ParameterError("sigma1 must be a non-empty vector or diagonal matrix")
-    if not (sig > 0).all():
-        raise ParameterError("diagonal entries must be positive")
     X, B11 = as_pair(np.diag(sig), B11)
     order = np.argsort(sig, kind="stable")
     part = split_diagonal(sig[order])

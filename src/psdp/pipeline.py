@@ -58,10 +58,8 @@ def _zero_solution(B):
     B = np.asarray(B, dtype=float)
     value = fro_norm(B) ** 2
     A = np.zeros((B.shape[0], B.shape[0]))
-    trace = IterateTrace(objectives=[value**0.5], timestamps=[0.0])
     return PsdpSolution(
-        A=A, objective=value, infimum=value, attained=True, trace=trace,
-        lower_bound=value, gap=0.0,
+        A=A, objective=value, infimum=value, attained=True, lower_bound=value, gap=0.0
     )
 
 
@@ -81,20 +79,24 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
         the negative semidefinite test bypass the iterative stage.
     sub_init : str
         Initialization for the reduced subproblem, "recursive" by
-        default.
+        default.  An unknown name raises ConfigurationError before any
+        route is taken.
 
     Returns
     -------
     PsdpSolution
-        With infimum, attained, lower_bound and gap always filled, and
-        the trace mapped back to original coordinates (objective entries
-        are sqrt(subproblem residual^2 + offset)).  On the iterative
-        route lower_bound is ``dual_bound`` at the returned iterate and
-        gap is their ``relative_gap``; the reduced run checks the gap at
-        iterations 8, 16 and 32 and then every ``solvers.GAP_EVERY``, and
-        stops at the first check with gap <= ``solvers.GAP_TOL``.
-        Elsewhere the infimum is exact and gap is 0.
+        With infimum, attained, lower_bound and gap always filled.  On
+        the iterative route the trace is mapped back to original
+        coordinates (objective entries are sqrt(subproblem residual^2 +
+        offset)), lower_bound is ``dual_bound`` at the returned iterate
+        and gap is their ``relative_gap``; the reduced run checks the gap
+        at iterations 8, 16 and 32 and then every ``solvers.GAP_EVERY``,
+        and stops at the first check with gap <= ``solvers.GAP_TOL``.
+        The exact routes (X = 0, rank one, the negative case) run no
+        iterations and carry no trace; their infimum is exact and gap is 0.
     """
+    if sub_init not in INITIALIZERS:
+        raise ConfigurationError("unknown initialization %r" % (sub_init,))
     try:
         red = reduce_problem(X, B)
     except DegenerateProblemError:
@@ -110,8 +112,6 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
                 return _zero_solution(B)
             return negative_case_solution(red, eps=eps)
 
-    if sub_init not in INITIALIZERS:
-        raise ConfigurationError("unknown initialization %r" % (sub_init,))
     Xsub = np.diag(red.sigma1)
     A0 = INITIALIZERS[sub_init](Xsub, red.B11)
 

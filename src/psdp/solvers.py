@@ -40,10 +40,11 @@ turns the halved objective into sum_ij W_ij (Ahat_ij - That_ij)^2 / 2 with
 W_ij = (sigma_i / sigma_j + sigma_j / sigma_i) / 2 in [1, (kappa + 1/kappa) / 2],
 kappa = sigma_max / sigma_min.  The condition number falls from kappa^2 to
 about kappa / 2, so momentum needs O(sqrt(kappa)) iterations, not O(kappa),
-and gradient and objective are entrywise.  The certificate and the result
-see A = Sigma^{-1/2} Ahat Sigma^{-1/2}.  ``init_recursive``'s blocks keep
-the plain loop: their condition numbers are at most 100, and they are the
-paper's initializer, whose values are pinned.
+and gradient and objective are entrywise; L and q are read off sigma.  The
+certificate and the result see A = Sigma^{-1/2} Ahat Sigma^{-1/2}.
+``init_recursive``'s blocks keep the plain loop, whose L and q come from
+one SVD of X (``precompute``): their condition numbers are at most 100, and
+they are the paper's initializer, whose values are pinned.
 """
 
 import itertools
@@ -99,16 +100,10 @@ def precompute(X, B):
     Returns (XXt, BXt, L, q) with XXt = X X.T, BXt = B X.T,
     L = sigma_max(X)^2 and q = sigma_min(X)^2 / L, where sigma_min is
     the n-th singular value (zero when m < n or X is rank deficient).
-    A diagonal X (the reduced subproblem and its blocks) has the sorted
-    absolute diagonal as its singular values, so no SVD is taken then.
     Raises NumericError when L overflows float64.  X and B are
     expected checked (``_oracle`` does) and are not rescanned.
     """
-    d = np.diagonal(X)
-    if np.count_nonzero(X) == np.count_nonzero(d):
-        s = np.sort(np.abs(d))[::-1]
-    else:
-        s = np.linalg.svd(X, compute_uv=False)
+    s = np.linalg.svd(X, compute_uv=False)
     try:
         L = float(s[0]) ** 2
     except OverflowError:

@@ -157,6 +157,15 @@ def test_solver_race_times_the_iterations_run(tmp_path):
         assert timing[name] == pytest.approx(expected, rel=1e-12)
 
 
+def test_solver_race_on_a_rank_one_panel():
+    # size 2, tall: X is 2-by-1 of rank one, so an-fgm takes the closed
+    # form, which runs no iterations; its curve holds its final error
+    rep = run_solver_experiment("rankdef", "tall", trials=2, iters=5, size=2)
+    assert rep.iterations["an-fgm"] == 0
+    assert (rep.traces["an-fgm"] == rep.traces["an-fgm"][:, :1]).all()
+    assert rep.iterations["fgm"] == 5
+
+
 def test_run_solver_experiment_shapes():
     rep_w = run_solver_experiment("well", "wide", trials=1, iters=10, size=20, seed0=3)
     rep_t = run_solver_experiment("well", "tall", trials=1, iters=10, size=20, seed0=3)

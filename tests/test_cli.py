@@ -87,6 +87,14 @@ def test_solve_unattained_reports_epsilon(tmp_path, capsys):
     assert float(header["objective"]) > float(header["infimum"])
     # the rank-one closed form runs no iterations and carries no trace
     assert "iterations" not in header
+    # nor does A = 0, optimal when X = 0 and in the negative case with Z = 0
+    neg = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+    for X, B in ((np.zeros((2, 3)), np.ones((2, 3))), (neg, -neg)):
+        xp, bp = write_instance(tmp_path, X, B)
+        assert cli.main(["solve", xp, bp]) == 0
+        header, A = capture_solution(capsys, tmp_path)
+        assert header["attained"] == "true" and not A.any()
+        assert "iterations" not in header
 
 
 def test_solve_reports_the_certifying_iteration(tmp_path, capsys):

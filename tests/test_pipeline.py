@@ -303,6 +303,28 @@ def test_dispatch_validation():
         solve(X, B, method="gradient", init="recursive")
 
 
+# one instance per an_fgm_solve route: X = 0, rank one, the negative case
+# with Z = 0 and with Z != 0 (B = -X plus a block in X's left kernel), and
+# the iterative route
+NEG_X = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+ROUTES = {
+    "zero": (np.zeros((2, 3)), np.ones((2, 3))),
+    "rank1": (np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])),
+    "negative_z0": (NEG_X, -NEG_X),
+    "negative": (NEG_X, -NEG_X + np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])),
+    "iterative": (np.eye(3), np.eye(3)),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_unknown_sub_init_raises_before_any_route(route):
+    X, B = ROUTES[route]
+    with pytest.raises(ConfigurationError):
+        an_fgm_solve(X, B, sub_init="bogus")
+    # only the iterative route runs iterations and carries a trace
+    assert (an_fgm_solve(X, B).trace is not None) == (route == "iterative")
+
+
 def test_dispatch_defaults():
     rng = np.random.default_rng(29)
     X = rng.standard_normal((5, 6))

@@ -269,32 +269,6 @@ def test_init_shape_validated():
         gradient_solve(np.eye(3), np.eye(3), np.zeros((2, 2)))
 
 
-@pytest.mark.parametrize("d", [
-    [3.0],
-    [5.0, 1e-3, 2.0],
-    [0.5, 7.0, 0.0, 3.0],
-    list(np.logspace(0.0, -6.0, 20)),
-    list(np.logspace(-3.0, 3.0, 60)),
-])
-def test_precompute_reads_a_diagonal_without_an_svd(d, monkeypatch):
-    X = np.diag(d)
-    B = np.ones_like(X)
-    s = np.linalg.svd(X, compute_uv=False)
-    L_ref = float(s[0]) ** 2
-    q_ref = (float(s[-1]) / float(s[0])) ** 2
-    svd_calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd_calls.append(1) or svd(*a, **k))
-    _, _, L, q = precompute(X, B)
-    assert svd_calls == []
-    assert L == L_ref and q == q_ref
-    if X.shape[0] > 1:
-        # a single off-diagonal entry takes the SVD
-        X[0, -1] = 1e-3
-        precompute(X, B)
-        assert len(svd_calls) == 1
-
-
 def test_precompute_rectangular_diagonal():
     X = np.zeros((4, 3))
     X[[0, 1, 2], [0, 1, 2]] = [1.0, -4.0, 2.0]
