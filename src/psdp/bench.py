@@ -24,6 +24,7 @@ import csv
 import os
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -61,6 +62,9 @@ class InstanceSpec:
             raise ParameterError(
                 "unknown family %r; choose one of %s" % (self.family, ", ".join(FAMILIES))
             )
+        s = self.seed
+        if isinstance(s, bool) or not isinstance(s, Integral) or not 0 <= s < 2**128:
+            raise ParameterError("seed must be an integer in [0, 2**128), got %r" % (s,))
         if self.n < 1 or self.m < 1:
             raise ParameterError("dimensions must be positive, got n=%d m=%d" % (self.n, self.m))
         if self.kappa_target is not None and self.kappa_target < 1.0:

@@ -60,7 +60,7 @@ def build_parser():
     p_solve.add_argument("--init", default=None, choices=tuple(INITIALIZERS))
     p_solve.add_argument("--max-iter", type=int, default=1000)
     p_solve.add_argument("--eps", type=float, default=None,
-                         help="accuracy target when the infimum is unattained")
+                         help="accuracy target when the infimum is unattained (an-fgm only)")
     p_solve.add_argument("--seed", type=int, default=None,
                          help="recorded in the output header for provenance")
     p_solve.add_argument("--out", default=None, help="output path (default: stdout)")

@@ -10,7 +10,7 @@ back in original coordinates, exactly when the infimum is attained and
 to any admissible eps when it is not.  Iterating on the reduced
 problem costs O(r^3) per iteration instead of O(n^3) and always enjoys
 a positive strong-convexity modulus, so the method is both cheaper per
-step and linearly convergent.  The reduced run iterates on the congruent
+step and linearly convergent.  The reduced run steps on the congruent
 variable Sigma1^{1/2} A11 Sigma1^{1/2} (``fgm_solve(..., precondition=True)``),
 which lowers the condition number of the subproblem from kappa^2 to about
 kappa / 2, kappa = sigma_1 / sigma_r: O(sqrt(kappa)) iterations instead
@@ -92,6 +92,7 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
         and gap is their ``relative_gap``; the reduced run checks the gap
         at iterations 8, 16 and 32 and then every ``solvers.GAP_EVERY``,
         and stops at the first check with gap <= ``solvers.GAP_TOL``.
+        A last check that saw the returned best_A itself is reused.
         The exact routes (X = 0, rank one, the negative case) run no
         iterations and carry no trace; their infimum is exact and gap is 0.
     """
@@ -115,7 +116,7 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
     Xsub = np.diag(red.sigma1)
     A0 = INITIALIZERS[sub_init](Xsub, red.B11)
 
-    # (sub, bound) of the last gap check, reused when it checked best_A
+    # (sub, bound) of the last gap check, reused when it saw best_A itself
     checked = [None, None]
 
     def certificate(A11, f):
@@ -125,7 +126,7 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
 
     sub_run = fgm_solve(Xsub, red.B11, A0, cfg, certificate=certificate, precondition=True)
     sub, bound = checked
-    if sub is None or not np.array_equal(sub.A11hat, sub_run.best_A):
+    if sub is None or sub.A11hat is not sub_run.best_A:
         sub = make_subproblem_solution(sub_run.best_A, red)
         bound = dual_bound(red, sub)
 
@@ -154,7 +155,9 @@ def solve(X, B, method="an-fgm", init=None, cfg=None, eps=None):
     initialization then applies to the reduced subproblem).  init
     defaults to "diagonal" for the full-space methods and "recursive"
     for "an-fgm"; "recursive" is only available with "an-fgm" since it
-    requires the diagonal data matrix produced by the reduction.
+    requires the diagonal data matrix produced by the reduction.  eps,
+    the accuracy target when the infimum is unattained, is read by
+    "an-fgm" only; with a full-space method it raises ConfigurationError.
     """
     if method not in METHODS:
         raise ConfigurationError(
@@ -172,6 +175,8 @@ def solve(X, B, method="an-fgm", init=None, cfg=None, eps=None):
         raise ConfigurationError(
             "the recursive initialization requires method 'an-fgm'"
         )
+    if eps is not None:
+        raise ConfigurationError("eps applies to method 'an-fgm' only")
     X, B = as_pair(X, B)
     A0 = INITIALIZERS[init or "diagonal"](X, B)
     runner = {"gradient": gradient_solve, "fgm": fgm_solve, "partan": partan_solve}[method]

@@ -34,14 +34,15 @@ stop rules:
   certifies is unchanged by it.
 
 The reduced run of ``an_fgm_solve`` (``fgm_solve(..., precondition=True)``,
-X = Sigma diagonal positive) iterates on Ahat = Sigma^{1/2} A Sigma^{1/2}.
+X = Sigma diagonal positive) takes its steps on Ahat = Sigma^{1/2} A Sigma^{1/2}.
 The congruence keeps the PSD cone, so a step is still one projection, and
 turns the halved objective into sum_ij W_ij (Ahat_ij - That_ij)^2 / 2 with
 W_ij = (sigma_i / sigma_j + sigma_j / sigma_i) / 2 in [1, (kappa + 1/kappa) / 2],
 kappa = sigma_max / sigma_min.  The condition number falls from kappa^2 to
 about kappa / 2, so momentum needs O(sqrt(kappa)) iterations, not O(kappa),
-and gradient and objective are entrywise; L and q are read off sigma.  The
-certificate and the result see A = Sigma^{-1/2} Ahat Sigma^{-1/2}.
+and gradient and objective are entrywise; L and q are read off sigma.  Only
+the step sees Ahat: it takes and returns A, so the iterates, the objective,
+the certificate and the result are all in A.
 ``init_recursive``'s blocks keep the plain loop, whose L and q come from
 one SVD of X (``precompute``): their condition numbers are at most 100, and
 they are the paper's initializer, whose values are pinned.
@@ -138,20 +139,19 @@ def _oracle(X, B):
     def objective(M):
         return float(np.linalg.norm(M @ X - B, "fro"))
 
-    return dict(
-        step=step, objective=objective, XXt=XXt, BXt=BXt, q=q, L=L, n=X.shape[0], scale=None
-    )
+    return dict(step=step, objective=objective, XXt=XXt, BXt=BXt, q=q, L=L, n=X.shape[0])
 
 
 def _congruent_oracle(X, C):
-    """The oracle of |A Sigma - C|_F on Ahat = S A S, S = Sigma^{1/2} (module docstring).
+    """The oracle of |A Sigma - C|_F whose step is taken on Ahat = S A S, S = Sigma^{1/2}.
 
     X must be diagonal with a positive diagonal sigma.  Entrywise,
-    Ahat = A * scale with scale_ij = sqrt(sigma_i sigma_j).  The step is
-    Ahat' = proj(Y - W * (Y - That) / L) with L = max W, q = 1 / L and
-    That = (C Sigma + Sigma C.T) / (2 W scale), the minimizer over
-    symmetric matrices.  The objective is |Ahat * R - C|_F with
-    R_ij = sqrt(sigma_j / sigma_i), since (A Sigma)_ij = Ahat_ij sigma_j / scale_ij.
+    Ahat = A * scale with scale_ij = sqrt(sigma_i sigma_j).  The step
+    maps A to Ahat, takes Ahat' = proj(Ahat - W * (Ahat - That) / L) with
+    L = max W, q = 1 / L and That = (C Sigma + Sigma C.T) / (2 W scale),
+    the minimizer over symmetric matrices, and returns A' = Ahat' / scale;
+    the constant parts are folded, so it reads proj(A * keep + pull) / scale.
+    The objective is |A * sigma - C|_F, the residual ``reduction`` reports.
     """
     X, C = as_pair(X, C)
     sigma = np.diagonal(X)
@@ -165,15 +165,16 @@ def _congruent_oracle(X, C):
     CS = C * sigma
     That = (CS + CS.T) / (2.0 * W * scale)
     WL = W / L
-    R = np.sqrt(ratio.T)
+    keep = (1.0 - WL) * scale
+    pull = WL * That
 
-    def step(Y):
-        return psd_project(Y - WL * (Y - That))
+    def step(A):
+        return psd_project(A * keep + pull) / scale
 
     def objective(M):
-        return float(np.linalg.norm(M * R - C, "fro"))
+        return float(np.linalg.norm(M * sigma - C, "fro"))
 
-    return dict(step=step, objective=objective, q=1.0 / L, L=L, n=X.shape[0], scale=scale)
+    return dict(step=step, objective=objective, q=1.0 / L, L=L, n=X.shape[0])
 
 
 def _solve(rule, oracle, A0, cfg, certificate=None):
@@ -183,10 +184,6 @@ def _solve(rule, oracle, A0, cfg, certificate=None):
     iterates with their residual norms; it reads what it needs from the
     oracle's keywords step, objective, XXt, BXt and q.  The loop owns
     everything else: the trace, the best iterate and the stop rules.
-    When the oracle iterates on Ahat = A * scale (its scale is not
-    None), A0 is mapped to Ahat first and every iterate the loop hands
-    out, to the certificate or in the result, is mapped back to
-    A = Ahat / scale.
     ``certificate(A, f)``, when given, returns a certified relative gap
     for the iterate A with objective f = |A X - B|_F^2; it is called on
     the best iterate at iterations 8, 16 and 32 (GAP_FIRST doubled while
@@ -194,14 +191,7 @@ def _solve(rule, oracle, A0, cfg, certificate=None):
     (X is zero) no step is taken and A0 is returned.
     """
     cfg = cfg or SolverConfig()
-    scale = oracle["scale"]
     A = _check_init(A0, oracle["n"])
-    if scale is not None:
-        A = A * scale
-
-    def unscale(M):
-        return M if scale is None or M is None else M / scale
-
     t0 = time.perf_counter()
     trace = IterateTrace() if cfg.record_trace else None
     best_val, best_A, best_hist = np.inf, None, []
@@ -226,13 +216,13 @@ def _solve(rule, oracle, A0, cfg, certificate=None):
         if certificate is not None and (
             k % GAP_EVERY == 0 or (GAP_FIRST <= k < GAP_EVERY and k & (k - 1) == 0)
         ):
-            if certificate(unscale(best_A), best_val**2) <= GAP_TOL:
+            if certificate(best_A, best_val**2) <= GAP_TOL:
                 break
     return PsdpSolution(
-        A=unscale(A),
+        A=A,
         objective=val**2,
         trace=trace,
-        best_A=unscale(best_A),
+        best_A=best_A,
         best_objective=best_val**2 if best_A is not None else None,
     )
 
@@ -302,8 +292,8 @@ def fgm_solve(X, B, A0, cfg=None, certificate=None, *, precondition=False):
 
     ``certificate``, when given, turns on the certified-gap stop rule
     (see ``_solve``).  ``precondition=True`` requires a positive
-    diagonal X and iterates on the congruent variable (module
-    docstring); A0, the certificate's iterates and the result stay in A.
+    diagonal X and takes each step on the congruent variable (module
+    docstring).
     """
     oracle = _congruent_oracle(X, B) if precondition else _oracle(X, B)
     return _solve(_momentum, oracle, A0, cfg, certificate)

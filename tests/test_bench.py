@@ -28,6 +28,13 @@ def test_spec_validation():
         InstanceSpec("gaussian", 0, 5, 0)
     with pytest.raises(ParameterError):
         InstanceSpec("ill_conditioned", 5, 5, 0, kappa_target=0.5)
+    # seeds are Philox keys: integers in [0, 2**128), bool excluded
+    for seed in (-1, 2**128, 1.5, 1.0, True, "1", None):
+        with pytest.raises(ParameterError):
+            InstanceSpec("gaussian", 3, 3, seed)
+    for seed in (0, np.int64(7), 2**128 - 1):
+        X, _ = gen(InstanceSpec("gaussian", 3, 3, seed))
+        assert X.shape == (3, 3)
 
 
 def test_gen_deterministic_and_seed_sensitive():

@@ -144,10 +144,14 @@ def test_certified_run_factors_the_returned_candidate_once(monkeypatch):
     # the last gap check saw the returned candidate: its factorization and
     # bound serve the attainment test, the assembly and the reported gap
     X, B = gen(InstanceSpec("rank_deficient", 30, 30, 4))
-    runs = []
+    runs, checked = [], []
 
-    def main_run(*args, **kwargs):
-        runs.append(solvers.fgm_solve(*args, **kwargs))
+    def main_run(*args, certificate, **kwargs):
+        def recording(A11, f):
+            checked.append(A11)
+            return certificate(A11, f)
+
+        runs.append(solvers.fgm_solve(*args, certificate=recording, **kwargs))
         return runs[-1]
 
     monkeypatch.setattr(pipeline, "fgm_solve", main_run)
@@ -156,6 +160,9 @@ def test_certified_run_factors_the_returned_candidate_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda M: seen.append(M.copy()) or eigh(M))
     sol = an_fgm_solve(X, B)
     assert sol.gap <= solvers.GAP_TOL
+    # the run stopped at a check, and that check saw the returned array itself
+    assert len(runs[0].trace) - 1 < solvers.SolverConfig().max_iter
+    assert checked[-1] is runs[0].best_A
     S = sym_part(runs[0].best_A)
     assert sum(np.array_equal(M, S) for M in seen) == 1
 

@@ -114,6 +114,20 @@ def test_solve_rejects_bad_method_combo(tmp_path, capsys):
     rc = cli.main(["solve", xp, bp, "--method", "gradient", "--init", "recursive"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    rc = cli.main(["solve", xp, bp, "--method", "fgm", "--eps", "0.5"])
+    assert rc == 2
+    assert "an-fgm" in capsys.readouterr().err
+
+
+def test_negative_seed_is_a_configuration_error(tmp_path, capsys):
+    rc = cli.main(["gen", "--seed", "-1", "--out", os.path.join(tmp_path, "inst")])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+    rc = cli.main(["bench", "solver-exp", "--trials", "1", "--iters", "2", "--size", "4",
+                   "--seed", "-3", "--out-dir", os.path.join(tmp_path, "res")])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 def test_solve_missing_file(tmp_path, capsys):

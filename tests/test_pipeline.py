@@ -301,6 +301,10 @@ def test_dispatch_validation():
         solve(X, B, method="fgm", init="sketchy")
     with pytest.raises(ConfigurationError):
         solve(X, B, method="gradient", init="recursive")
+    # eps is the an-fgm accuracy target; the full-space methods refuse it
+    for method in ("gradient", "fgm", "partan"):
+        with pytest.raises(ConfigurationError):
+            solve(X, B, method=method, eps=0.5)
 
 
 # one instance per an_fgm_solve route: X = 0, rank one, the negative case

@@ -20,6 +20,8 @@ from psdp import (
     psd_project,
     solvers,
 )
+from psdp.bench import InstanceSpec, gen
+from psdp.reduction import reduce_problem
 from psdp.solvers import gradient, precompute
 
 
@@ -307,8 +309,23 @@ def test_preconditioned_run_reaches_the_plain_optimum_in_a():
     assert pre.trace.objectives[0] == pytest.approx(plain.trace.objectives[0], rel=1e-14)
     assert pre.best_objective == pytest.approx(plain.best_objective, rel=1e-12)
     assert np.allclose(pre.best_A, plain.best_A, atol=1e-8)
-    assert pre.objective == pytest.approx(fro_norm(pre.A @ X - B) ** 2, rel=1e-12)
+    assert pre.objective == fro_norm(pre.A @ X - B) ** 2
+    assert pre.best_objective == fro_norm(pre.best_A @ X - B) ** 2
     assert np.linalg.eigvalsh(pre.best_A)[0] >= -1e-12
+
+
+def test_preconditioned_run_reports_the_residual_of_what_it_returns():
+    # the reported objectives are the residuals of the returned A and best_A,
+    # bit for bit, on ill-conditioned reduced instances
+    for seed in range(20):
+        X, B = gen(InstanceSpec("ill_conditioned", 20, 20, seed, kappa_target=1e4))
+        red = reduce_problem(X, B)
+        Xsub = np.diag(red.sigma1)
+        A0 = init_diagonal(Xsub, red.B11)
+        cfg = SolverConfig(max_iter=200)
+        pre = fgm_solve(Xsub, red.B11, A0, cfg, precondition=True)
+        assert pre.objective == fro_norm(pre.A @ Xsub - red.B11) ** 2, seed
+        assert pre.best_objective == fro_norm(pre.best_A @ Xsub - red.B11) ** 2, seed
 
 
 def test_preconditioned_run_needs_a_positive_diagonal():
