@@ -24,11 +24,11 @@ import csv
 import os
 import time
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
 from .errors import ParameterError
+from .matcore import as_choice, as_number
 from .pipeline import INITIALIZERS, METHODS, solve
 from .solvers import SolverConfig, fgm_solve
 
@@ -49,7 +49,11 @@ LADDER = np.concatenate(
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Seeded description of one benchmark instance."""
+    """Seeded description of one benchmark instance.
+
+    n, m >= 1 and seed in [0, 2**128) are integers; kappa_target is None
+    or a finite real >= 1 (``matcore.as_number``: no NaN, inf or bool).
+    """
 
     family: str
     n: int
@@ -58,17 +62,12 @@ class InstanceSpec:
     kappa_target: float = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ParameterError(
-                "unknown family %r; choose one of %s" % (self.family, ", ".join(FAMILIES))
-            )
-        s = self.seed
-        if isinstance(s, bool) or not isinstance(s, Integral) or not 0 <= s < 2**128:
-            raise ParameterError("seed must be an integer in [0, 2**128), got %r" % (s,))
-        if self.n < 1 or self.m < 1:
-            raise ParameterError("dimensions must be positive, got n=%d m=%d" % (self.n, self.m))
-        if self.kappa_target is not None and self.kappa_target < 1.0:
-            raise ParameterError("kappa_target must be at least 1")
+        as_choice(self.family, FAMILIES, "family")
+        as_number(self.seed, "seed", 0, 2**128, integer=True)
+        as_number(self.n, "n", 1, integer=True)
+        as_number(self.m, "m", 1, integer=True)
+        if self.kappa_target is not None:
+            as_number(self.kappa_target, "kappa_target", 1.0)
 
 
 def _rng(seed):
@@ -199,8 +198,8 @@ def run_init_experiment(trials, iters, out_dir=None, seed0=2024):
 
     Returns a dict mapping family name to ExperimentReport.
     """
-    if trials < 1 or iters < 0:
-        raise ParameterError("trials must be positive and iters nonnegative")
+    trials = as_number(trials, "trials", 1, integer=True)
+    iters = as_number(iters, "iters", 0, integer=True)
     reports = {}
     summary_rows = []
     trace_rows = []
@@ -221,13 +220,6 @@ def run_init_experiment(trials, iters, out_dir=None, seed0=2024):
 
 # ---------------------------------------------------------------------------
 # solver experiment
-
-
-def _panel_dims(shape, size):
-    dims = {"square": (size, size), "wide": (size // 2, size), "tall": (size, size // 2)}
-    if shape not in dims:
-        raise ParameterError("unknown shape %r; choose one of %s" % (shape, ", ".join(SHAPES)))
-    return dims[shape]
 
 
 _SUITE_FAMILY = {"well": "gaussian", "ill": "ill_conditioned", "rankdef": "rank_deficient"}
@@ -268,11 +260,11 @@ def run_solver_experiment(suite, shape, trials, iters, size=100, out_dir=None, s
     gap is certified, and a method that ran none reads nan); returns an
     ExperimentReport.
     """
-    if suite not in SUITES:
-        raise ParameterError("unknown suite %r; choose one of %s" % (suite, ", ".join(SUITES)))
-    if trials < 1 or iters < 1:
-        raise ParameterError("trials and iters must be positive")
-    n, m = _panel_dims(shape, size)
+    as_choice(suite, SUITES, "suite")
+    trials = as_number(trials, "trials", 1, integer=True)
+    iters = as_number(iters, "iters", 1, integer=True)
+    dims = {"square": (size, size), "wide": (size // 2, size), "tall": (size, size // 2)}
+    n, m = dims[as_choice(shape, SHAPES, "shape")]
     family = _SUITE_FAMILY[suite]
     results = [_solver_trial(family, n, m, seed0 + t, iters) for t in range(trials)]
     report = _report(results, trials, iters, -1)

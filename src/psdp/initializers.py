@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InapplicableError, ParameterError
-from .matcore import as_pair, psd_project
+from .errors import ParameterError
+from .matcore import as_number, as_pair, psd_project
 from .solvers import SolverConfig, fgm_solve
 
 # condition-number ceiling for the recursive blocks and the length of
@@ -29,9 +29,8 @@ BLOCK_ITERS = 100
 
 
 def init_zero(n):
-    """The zero matrix of order n."""
-    if n < 1:
-        raise ParameterError("n must be positive, got %r" % (n,))
+    """The zero matrix of order n, a positive integer (``matcore.as_number``)."""
+    n = as_number(n, "n", 1, integer=True)
     return np.zeros((n, n))
 
 
@@ -80,7 +79,8 @@ def split_diagonal(d, kappa_max=KAPPA_MAX):
     index k minimizing max(d[k] / d[first], d[last] / d[k+1]), ties
     going to the smallest k, and the halves are split recursively.
     Terminates because every cut strictly shrinks both condition
-    numbers below the parent's.
+    numbers below the parent's.  ``kappa_max`` is a finite real >= 1
+    (``matcore.as_number``).
     """
     d = np.asarray(d, dtype=float)
     if d.ndim != 1 or d.size == 0:
@@ -89,8 +89,7 @@ def split_diagonal(d, kappa_max=KAPPA_MAX):
         raise ParameterError("diagonal entries must be positive")
     if (np.diff(d) < 0).any():
         raise ParameterError("diagonal entries must be ascending")
-    if kappa_max < 1.0:
-        raise ParameterError("kappa_max must be at least 1, got %r" % (kappa_max,))
+    kappa_max = as_number(kappa_max, "kappa_max", 1.0)
 
     blocks = []
 
@@ -112,9 +111,9 @@ def split_diagonal(d, kappa_max=KAPPA_MAX):
 def init_recursive(sigma1, B11):
     """Recursive block initialization for a diagonal data matrix.
 
-    ``sigma1`` may be a 1-D vector of positive diagonal entries, in any
-    order, or a diagonal matrix; anything non-diagonal raises
-    InapplicableError.  Entries are sorted ascending and split with
+    ``sigma1`` is the 1-D vector of its positive diagonal entries, in
+    any order, as ``ReducedProblem.sigma1`` holds it; a 2-D array raises
+    ParameterError.  Entries are sorted ascending and split with
     ``split_diagonal`` at KAPPA_MAX, whose check raises ParameterError
     for an entry that is not positive.  When the split finds one block,
     the whole diagonal is within KAPPA_MAX and the result is
@@ -126,12 +125,8 @@ def init_recursive(sigma1, B11):
     caller's run budget reaches the blocks.
     """
     sig = np.asarray(sigma1, dtype=float)
-    if sig.ndim == 2:
-        if sig.shape[0] != sig.shape[1] or np.count_nonzero(sig - np.diag(np.diag(sig))):
-            raise InapplicableError("recursive initialization requires a diagonal matrix")
-        sig = np.diag(sig)
     if sig.ndim != 1 or sig.size == 0:
-        raise ParameterError("sigma1 must be a non-empty vector or diagonal matrix")
+        raise ParameterError("sigma1 must be a non-empty 1-D array, got shape %s" % (sig.shape,))
     X, B11 = as_pair(np.diag(sig), B11)
     order = np.argsort(sig, kind="stable")
     part = split_diagonal(sig[order])

@@ -1,11 +1,11 @@
 """Dense real-matrix primitives shared by the whole package.
 
-All matrices are two-dimensional float64 ndarrays.  User input is
-checked once, where it enters the package, by ``as_matrix`` or
-``as_pair``; the array kernels expect finite arrays and do not rescan
-them.  Spectral factorizations delegate to LAPACK through numpy.linalg
-and are wrapped so that failures and non-finite results surface as
-NumericError with some context instead of a bare backend exception.
+All matrices are two-dimensional float64 ndarrays.  User input is checked
+once, where it enters the package, by ``as_matrix``, ``as_pair``,
+``as_number`` or ``as_choice``; the array kernels expect finite arrays and
+do not rescan them.  Spectral factorizations delegate to LAPACK through
+numpy.linalg and are wrapped so that failures and non-finite results
+surface as NumericError with some context instead of a bare exception.
 
 The central operation is ``psd_project``, the Frobenius-nearest
 positive semidefinite matrix: symmetrize, then clip negative
@@ -13,6 +13,7 @@ eigenvalues to zero.
 """
 
 import math
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +35,22 @@ def as_matrix(M, name="matrix"):
     if not np.isfinite(A).all():
         raise ParameterError("%s contains NaN or Inf entries" % name)
     return A
+
+
+def as_number(x, name, lo, hi=math.inf, integer=False, open_lo=False):
+    """float(x) (int(x) if ``integer``) of a non-bool x in [lo, hi), (lo, hi) if ``open_lo``."""
+    ok = isinstance(x, Integral if integer else Real) and not isinstance(x, bool)
+    if ok and x < hi and (lo < x if open_lo else lo <= x):
+        return int(x) if integer else float(x)
+    kind, bra = "an integer" if integer else "a real number", "(" if open_lo else "["
+    raise ParameterError("%s must be %s in %s%.6g, %.6g), got %r" % (name, kind, bra, lo, hi, x))
+
+
+def as_choice(x, choices, name, error=ParameterError):
+    """``x`` if it is one of the names ``choices``, else ``error`` listing them."""
+    if not (isinstance(x, str) and x in choices):
+        raise error("unknown %s %r; choose one of %s" % (name, x, ", ".join(choices)))
+    return x
 
 
 def as_pair(X, B):

@@ -26,11 +26,12 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateProblemError, NotAttainedError
 from .initializers import init_diagonal, init_recursive, init_unconstrained, init_zero
-from .matcore import as_pair, fro_norm
+from .matcore import as_choice, as_number, as_pair, fro_norm
 from .reduction import (
     assemble_epsilon,
     assemble_optimal,
     dual_bound,
+    infimum_value,
     kernel_contained,
     make_subproblem_solution,
     negative_case_solution,
@@ -43,13 +44,13 @@ from .solvers import fgm_solve, gradient_solve, partan_solve
 
 METHODS = ("gradient", "fgm", "partan", "an-fgm")
 
-# name -> (X, B) -> A0; "recursive" needs a diagonal X.  The entries
+# name -> (X, B) -> A0; "recursive" reads only the diagonal of X.  The entries
 # resolve the init_* names at call time, through this module's attributes.
 INITIALIZERS = {
     "zero": lambda X, B: init_zero(X.shape[0]),
     "unconstrained": lambda X, B: init_unconstrained(X, B),
     "diagonal": lambda X, B: init_diagonal(X, B),
-    "recursive": lambda X, B: init_recursive(X, B),
+    "recursive": lambda X, B: init_recursive(np.diagonal(X), B),
 }
 
 
@@ -73,7 +74,8 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
         Budget for the reduced fast-gradient run.
     eps : float, optional
         Accuracy target when the infimum turns out to be unattained;
-        defaults to a small value inside the admissible interval.
+        defaults to a small value inside the admissible interval; a given
+        eps must be a finite real > 0, which is checked before any route.
     use_closed_forms : bool
         When True (default), rank-one instances and instances passing
         the negative semidefinite test bypass the iterative stage.
@@ -96,8 +98,9 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
         The exact routes (X = 0, rank one, the negative case) run no
         iterations and carry no trace; their infimum is exact and gap is 0.
     """
-    if sub_init not in INITIALIZERS:
-        raise ConfigurationError("unknown initialization %r" % (sub_init,))
+    as_choice(sub_init, INITIALIZERS, "initialization", ConfigurationError)
+    if eps is not None:
+        as_number(eps, "eps", 0.0, open_lo=True)
     try:
         red = reduce_problem(X, B)
     except DegenerateProblemError:
@@ -119,10 +122,10 @@ def an_fgm_solve(X, B, cfg=None, eps=None, use_closed_forms=True, sub_init="recu
     # (sub, bound) of the last gap check, reused when it saw best_A itself
     checked = [None, None]
 
-    def certificate(A11, f):
+    def certificate(A11):
         sub = make_subproblem_solution(A11, red)
         checked[:] = sub, dual_bound(red, sub)
-        return relative_gap(red, f + red.offset, checked[1])
+        return relative_gap(red, infimum_value(red, sub), checked[1])
 
     sub_run = fgm_solve(Xsub, red.B11, A0, cfg, certificate=certificate, precondition=True)
     sub, bound = checked
@@ -157,16 +160,12 @@ def solve(X, B, method="an-fgm", init=None, cfg=None, eps=None):
     for "an-fgm"; "recursive" is only available with "an-fgm" since it
     requires the diagonal data matrix produced by the reduction.  eps,
     the accuracy target when the infimum is unattained, is read by
-    "an-fgm" only; with a full-space method it raises ConfigurationError.
+    "an-fgm" only; with a full-space method, as with unknown names, it
+    raises ConfigurationError.
     """
-    if method not in METHODS:
-        raise ConfigurationError(
-            "unknown method %r; choose one of %s" % (method, ", ".join(METHODS))
-        )
-    if init is not None and init not in INITIALIZERS:
-        raise ConfigurationError(
-            "unknown initialization %r; choose one of %s" % (init, ", ".join(INITIALIZERS))
-        )
+    as_choice(method, METHODS, "method", ConfigurationError)
+    if init is not None:
+        as_choice(init, INITIALIZERS, "initialization", ConfigurationError)
 
     if method == "an-fgm":
         return an_fgm_solve(X, B, cfg=cfg, eps=eps, sub_init=init or "recursive")

@@ -44,13 +44,13 @@ from .errors import (
     DimensionError,
     InapplicableError,
     NotAttainedError,
-    ParameterError,
 )
 from .matcore import (
     EPS,
     KERNEL_TOL,
     SymEig,
     as_matrix,
+    as_number,
     as_pair,
     default_rank_tol,
     eigh_sorted,
@@ -330,18 +330,15 @@ def assemble_optimal(red, sub, K=None):
 def resolve_epsilon(eps, infimum, residual=None):
     """``eps``, or min(max(1e-8, 1e-6 infimum), upper / 2) when None.
 
-    eps must lie in (0, upper): upper = residual^2 for a lift of a candidate
-    of that residual (it adds at most eps / 2 + eps^2 / (16 residual^2)),
-    1 when the residual is 0, inf on the rank-one route (residual None).
+    eps must be a real in (0, upper) (``matcore.as_number``): upper =
+    residual^2 for a lift of a candidate of that residual (it adds at most
+    eps / 2 + eps^2 / (16 residual^2)), 1 when the residual is 0, inf on
+    the rank-one route (residual None).
     """
     upper = math.inf if residual is None else residual**2 if residual > 0 else 1.0
     if eps is None:
         eps = min(max(1e-8, 1e-6 * infimum), upper / 2.0)
-    if not 0.0 < eps < upper:
-        raise ParameterError(
-            "eps must lie in the open interval (0, %.6g), got %.6g" % (upper, eps)
-        )
-    return eps
+    return as_number(eps, "eps", 0.0, upper, open_lo=True)
 
 
 def _lift(red, sub, eps, count, K_eps=None):
@@ -432,9 +429,10 @@ def rank1_solve(X, B, eps=None, red=None):
       keeps the trailing block in the float range.
 
     The infimum min(t, 0)^2 + |B V2|^2 is exact, not the candidate's
-    rounded residual: lower_bound = infimum, gap 0.  Any eps > 0 is
-    admissible.  The branch is the same under (cX, dB); the eps-solution
-    is not.  Inputs of rank other than one raise InapplicableError.
+    rounded residual: lower_bound = infimum, gap 0.  Any finite eps > 0
+    is admissible; it is checked before either branch.  The branch is the
+    same under (cX, dB); the eps-solution is not.  Inputs of rank other
+    than one raise InapplicableError.
     ``red``, when given, is the ReducedProblem of (X, B) and is used
     instead of reducing again.
     """
@@ -450,6 +448,7 @@ def rank1_solve(X, B, eps=None, red=None):
     sigma = float(red.sigma1[0])
     t = float(red.B11[0, 0])
     infimum = min(t, 0.0) ** 2 + red.offset
+    eps = resolve_epsilon(eps, infimum)
     sub = make_subproblem_solution(np.array([[max(t, 0.0) / sigma]]), red)
     try:
         A = assemble_optimal(red, sub).A
@@ -461,7 +460,6 @@ def rank1_solve(X, B, eps=None, red=None):
             lower_bound=infimum, gap=0.0,
         )
 
-    eps = resolve_epsilon(eps, infimum)
     target = eps * (1.0 - 2.0**-7)
 
     def excess(q):

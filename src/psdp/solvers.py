@@ -51,12 +51,11 @@ they are the paper's initializer, whose values are pinned.
 import itertools
 import time
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionError, InapplicableError, NumericError, ParameterError
-from .matcore import as_matrix, as_pair, psd_project
+from .errors import DimensionError, InapplicableError, NumericError
+from .matcore import as_matrix, as_number, as_pair, psd_project
 from .solution import IterateTrace, PsdpSolution
 
 # the certified-gap stop rule: a relative gap at rounding level, checked
@@ -73,10 +72,11 @@ ALPHA1 = 0.1
 class SolverConfig:
     """Run budget and recording shared by the iterative solvers.
 
-    objective_tol, when set, stops a run once the best objective has
+    objective_tol >= 0, when set, stops a run once the best objective has
     improved by less than objective_tol relative over the last 10
-    iterations.  wall_clock_budget, when set, stops the iteration loop
-    after that many seconds.  The step rules have no settings.
+    iterations.  wall_clock_budget > 0, when set, stops the loop after
+    that many seconds.  None is the only "off": ``matcore.as_number``
+    rejects NaN, inf and bools.  The step rules have no settings.
     """
 
     max_iter: int = 1000
@@ -85,14 +85,11 @@ class SolverConfig:
     wall_clock_budget: float = None
 
     def __post_init__(self):
-        m = self.max_iter
-        if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
-            raise ParameterError("max_iter must be a positive integer, got %r" % (m,))
-        self.max_iter = int(m)
-        if self.objective_tol is not None and self.objective_tol < 0:
-            raise ParameterError("objective_tol must be nonnegative")
-        if self.wall_clock_budget is not None and self.wall_clock_budget <= 0:
-            raise ParameterError("wall_clock_budget must be positive")
+        self.max_iter = as_number(self.max_iter, "max_iter", 1, integer=True)
+        if self.objective_tol is not None:
+            as_number(self.objective_tol, "objective_tol", 0.0)
+        if self.wall_clock_budget is not None:
+            as_number(self.wall_clock_budget, "wall_clock_budget", 0.0, open_lo=True)
 
 
 def precompute(X, B):
@@ -184,11 +181,11 @@ def _solve(rule, oracle, A0, cfg, certificate=None):
     iterates with their residual norms; it reads what it needs from the
     oracle's keywords step, objective, XXt, BXt and q.  The loop owns
     everything else: the trace, the best iterate and the stop rules.
-    ``certificate(A, f)``, when given, returns a certified relative gap
-    for the iterate A with objective f = |A X - B|_F^2; it is called on
-    the best iterate at iterations 8, 16 and 32 (GAP_FIRST doubled while
-    below GAP_EVERY) and at every multiple of GAP_EVERY.  When L = 0
-    (X is zero) no step is taken and A0 is returned.
+    ``certificate(A)``, when given, returns a certified relative gap for
+    the iterate A; it is called on the best iterate at iterations 8, 16
+    and 32 (GAP_FIRST doubled while below GAP_EVERY) and at every
+    multiple of GAP_EVERY.  When L = 0 (X is zero) no step is taken and
+    A0 is returned.
     """
     cfg = cfg or SolverConfig()
     A = _check_init(A0, oracle["n"])
@@ -216,7 +213,7 @@ def _solve(rule, oracle, A0, cfg, certificate=None):
         if certificate is not None and (
             k % GAP_EVERY == 0 or (GAP_FIRST <= k < GAP_EVERY and k & (k - 1) == 0)
         ):
-            if certificate(best_A, best_val**2) <= GAP_TOL:
+            if certificate(best_A) <= GAP_TOL:
                 break
     return PsdpSolution(
         A=A,

@@ -26,8 +26,11 @@ def test_spec_validation():
         InstanceSpec("weird", 5, 5, 0)
     with pytest.raises(ParameterError):
         InstanceSpec("gaussian", 0, 5, 0)
-    with pytest.raises(ParameterError):
-        InstanceSpec("ill_conditioned", 5, 5, 0, kappa_target=0.5)
+    # a NaN or inf target would make gen return a non-finite X; counts are integers
+    for bad in (dict(kappa_target=0.5), dict(kappa_target=float("nan")),
+                dict(kappa_target=float("inf")), dict(n=2.5), dict(m=True)):
+        with pytest.raises(ParameterError):
+            InstanceSpec(**{"family": "ill_conditioned", "n": 5, "m": 5, "seed": 0, **bad})
     # seeds are Philox keys: integers in [0, 2**128), bool excluded
     for seed in (-1, 2**128, 1.5, 1.0, True, "1", None):
         with pytest.raises(ParameterError):
@@ -126,6 +129,17 @@ def test_run_init_experiment_deterministic():
 def test_run_init_experiment_zero_iters():
     reports = run_init_experiment(trials=2, iters=0, seed0=5)
     assert reports["gaussian"].traces["zero"].shape == (2, 1)
+
+
+def test_experiment_counts_are_integers():
+    # a NaN count would pass an `iters < 0` test and report iters = nan;
+    # a fractional one would reach numpy as a bare TypeError
+    for trials, iters in ((1, float("nan")), (1.5, 2), (True, 2), (1, -1)):
+        with pytest.raises(ParameterError):
+            run_init_experiment(trials, iters)
+    for trials, iters in ((1, 0), (1, 2.5), (0, 2)):
+        with pytest.raises(ParameterError):
+            run_solver_experiment("well", "square", trials, iters, size=4)
 
 
 def test_run_solver_experiment_report_and_csv(tmp_path):

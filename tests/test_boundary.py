@@ -12,6 +12,7 @@ import pytest
 
 from psdp import (
     DimensionError,
+    InapplicableError,
     InstanceSpec,
     NumericError,
     ParameterError,
@@ -170,3 +171,32 @@ def test_an_fgm_solve_checks_the_callers_x_once(make, route, monkeypatch):
     seen = _record_checks(monkeypatch)
     an_fgm_solve(X, B)
     assert seen.count(id(X)) == 1
+
+
+def _tall_red():
+    """The reduction of a 3x2 X of rank 2 < n: its trailing block is 1-by-1."""
+    return reduce_problem(np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]), np.ones((3, 2)))
+
+
+# typed errors of internal checks that no other test reaches: id -> (call, error)
+UNREACHED = {
+    "rank1_solve-zero-X": (lambda: rank1_solve(Z3, B3), InapplicableError),
+    "make_subproblem_solution-shape": (
+        lambda: reduction.make_subproblem_solution(np.eye(3), _tall_red()), DimensionError),
+    "trailing_factor-shape": (
+        lambda: reduction._trailing_factor(_tall_red(), np.eye(2), np.eye(2), "K"), DimensionError),
+    "trailing_factor-r-equals-n": (
+        lambda: reduction._trailing_factor(reduce_problem(X3, B3), np.eye(1), np.eye(3), "K"),
+        DimensionError),
+    "split_diagonal-2d": (lambda: initializers.split_diagonal(np.eye(2)), ParameterError),
+    "split_diagonal-empty": (lambda: initializers.split_diagonal(np.array([])), ParameterError),
+    "gen-ill-conditioned-min-dim-1": (
+        lambda: gen(InstanceSpec("ill_conditioned", 5, 1, 0)), ParameterError),
+}
+
+
+@pytest.mark.parametrize("case", UNREACHED)
+def test_internal_checks_raise_typed_errors(case):
+    call, error = UNREACHED[case]
+    with pytest.raises(error):
+        call()

@@ -68,7 +68,8 @@ def test_rank_deficient_run_stops_at_the_first_check():
     assert sol.gap <= solvers.GAP_TOL
     red = reduce_problem(X, B)
     Xsub = np.diag(red.sigma1)
-    full = fgm_solve(Xsub, red.B11, init_recursive(Xsub, red.B11), SolverConfig(max_iter=1000))
+    A0 = init_recursive(red.sigma1, red.B11)
+    full = fgm_solve(Xsub, red.B11, A0, SolverConfig(max_iter=1000))
     assert len(full.trace) == 1001
     assert sol.infimum == pytest.approx(full.best_objective + red.offset, rel=1e-12)
 
@@ -147,9 +148,9 @@ def test_certified_run_factors_the_returned_candidate_once(monkeypatch):
     runs, checked = [], []
 
     def main_run(*args, certificate, **kwargs):
-        def recording(A11, f):
+        def recording(A11):
             checked.append(A11)
-            return certificate(A11, f)
+            return certificate(A11)
 
         runs.append(solvers.fgm_solve(*args, certificate=recording, **kwargs))
         return runs[-1]
@@ -188,8 +189,8 @@ def test_certificate_checked_every_gap_every_iterations(max_iter):
     cfg = SolverConfig(max_iter=max_iter)
     calls = []
 
-    def never(A, f):
-        calls.append(f)
+    def never(A):
+        calls.append(A)
         return 1.0
 
     checked = fgm_solve(X, B, A0, cfg, certificate=never)
@@ -197,8 +198,8 @@ def test_certificate_checked_every_gap_every_iterations(max_iter):
     assert len(calls) == SCHEDULED_CHECKS[max_iter]
     assert np.array_equal(checked.A, plain.A)
     assert checked.trace.objectives == plain.trace.objectives
-    # the certificate sees the best iterate's squared objective
-    assert all(f >= plain.best_objective for f in calls)
+    # the certificate sees a best iterate, no better than the run's last one
+    assert all(np.linalg.norm(A @ X - B, "fro") ** 2 >= plain.best_objective for A in calls)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

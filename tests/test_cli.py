@@ -130,6 +130,21 @@ def test_negative_seed_is_a_configuration_error(tmp_path, capsys):
     assert not os.listdir(tmp_path)
 
 
+def test_bad_scalar_is_a_configuration_error(tmp_path, capsys):
+    # a NaN condition target is refused by name, before any matrix is written
+    rc = cli.main(["gen", "--family", "ill", "--n", "4", "--m", "4", "--kappa", "nan",
+                   "--out", os.path.join(tmp_path, "inst")])
+    assert rc == 2
+    assert "kappa_target" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+    # the instance is attained, so no route reads eps; a negative one still exits 2
+    xp, bp = write_instance(tmp_path, np.diag([3.0, 2.0, 1.0]), np.ones((3, 3)))
+    assert cli.main(["solve", xp, bp]) == 0
+    capsys.readouterr()
+    assert cli.main(["solve", xp, bp, "--eps", "-1"]) == 2
+    assert "eps" in capsys.readouterr().err
+
+
 def test_solve_missing_file(tmp_path, capsys):
     X, B = gen(InstanceSpec("gaussian", 5, 5, 0))
     xp, _ = write_instance(tmp_path, X, B)

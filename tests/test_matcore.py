@@ -121,6 +121,12 @@ def test_block_psd_characterization():
         assert np.linalg.eigvalsh(sym_part(Mbad)).min() < -1e-6
 
 
+@pytest.mark.parametrize("M", [np.ones((2, 3)), np.array([[1.0, 1.0], [0.0, 1.0]])],
+                         ids=["non-square", "asymmetric"])
+def test_is_psd_is_false_off_the_symmetric_square_matrices(M):
+    assert is_psd(M) is False
+
+
 def test_eigh_sorted_order_and_reconstruction():
     rng = np.random.default_rng(41)
     M = rng.standard_normal((6, 6))

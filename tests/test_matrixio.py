@@ -48,6 +48,14 @@ def test_parse_error_names_line_for_bad_dims(tmp_path):
         read_matrix(path)
 
 
+@pytest.mark.parametrize("dims", ["4", "2 2 2"])
+def test_parse_error_names_line_for_wrong_dim_count(tmp_path, dims):
+    path = tmp_path / "bad.txt"
+    path.write_text(dims + "\n1 2\n3 4\n")
+    with pytest.raises(MatrixParseError, match="line 1: expected 'rows cols'"):
+        read_matrix(path)
+
+
 def test_parse_error_names_line_for_short_row(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 3\n1 2 3\n4 5\n")

@@ -5,6 +5,7 @@ import pytest
 
 from psdp import (
     ConfigurationError,
+    ParameterError,
     SolverConfig,
     an_fgm_solve,
     assemble_optimal,
@@ -305,6 +306,14 @@ def test_dispatch_validation():
     for method in ("gradient", "fgm", "partan"):
         with pytest.raises(ConfigurationError):
             solve(X, B, method=method, eps=0.5)
+    # an attained instance never reads eps, and a bad one still raises
+    X, B = np.diag([3.0, 2.0, 1.0]), np.ones((3, 3))
+    assert an_fgm_solve(X, B).attained
+    for eps in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ParameterError):
+            an_fgm_solve(X, B, eps=eps)
+        with pytest.raises(ParameterError):
+            solve(X, B, eps=eps)
 
 
 # one instance per an_fgm_solve route: X = 0, rank one, the negative case
@@ -389,7 +398,7 @@ def test_tall_speedup_per_iteration():
     full = fgm_solve(X, B, init_diagonal(X, B), cfg)
     red = reduce_problem(X, B)
     Xsub = np.diag(red.sigma1)
-    fast = fgm_solve(Xsub, red.B11, init_recursive(Xsub, red.B11), cfg, precondition=True)
+    fast = fgm_solve(Xsub, red.B11, init_recursive(red.sigma1, red.B11), cfg, precondition=True)
     t_full = np.median(np.diff(full.trace.timestamps))
     t_fast = np.median(np.diff(fast.trace.timestamps))
     assert t_full / t_fast >= 2.0
@@ -406,7 +415,7 @@ def test_rankdef_speedup_per_iteration():
     cfg = SolverConfig(max_iter=250)
     red = reduce_problem(X, B)
     Xsub = np.diag(red.sigma1)
-    A0_full, A0_fast = init_diagonal(X, B), init_recursive(Xsub, red.B11)
+    A0_full, A0_fast = init_diagonal(X, B), init_recursive(red.sigma1, red.B11)
     t_full, t_fast = [], []
     for _ in range(5):
         full = fgm_solve(X, B, A0_full, cfg)

@@ -456,6 +456,16 @@ def test_rank1_positive_branch_frozen():
     assert w[0] == pytest.approx(0.0, abs=1e-12) and w[1] > 0
 
 
+def test_rank1_attained_branch_checks_eps():
+    # the instance of test_rank1_positive_branch_frozen: attained, so eps is
+    # never read, and a bad one still raises before either branch
+    X = np.array([[2.0, 0.0], [0.0, 0.0]])
+    B = np.array([[3.0, 1.0], [5.0, 0.0]])
+    for eps in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            rank1_solve(X, B, eps=eps)
+
+
 def test_rank1_zero_optimum_branch_frozen():
     X = np.array([[1.0], [0.0]])
     B = np.array([[-1.0], [0.0]])

@@ -32,6 +32,11 @@ def test_config_validation():
         SolverConfig(wall_clock_budget=0.0)
     with pytest.raises(ParameterError):
         SolverConfig(max_iter=True)
+    # NaN passes a `< 0` test and would switch the stop rule off; None is the only "off"
+    for bad in (dict(objective_tol=float("nan")), dict(objective_tol=True),
+                dict(wall_clock_budget=float("nan"))):
+        with pytest.raises(ParameterError):
+            SolverConfig(**bad)
     cfg = SolverConfig()
     assert cfg.max_iter == 1000
     cfg = SolverConfig(max_iter=np.int64(5))
